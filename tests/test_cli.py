@@ -53,6 +53,15 @@ FIXTURES = {
         "-p", "N=3", "-p", "t=1", "-p", "delta=0.3", "-p", "gamma=0.8",
     ],
 }
+# the other analysis commands, on the same models as the full reports above
+for _prefix, _commands in [
+    ("xyz_n3", ["check", "commutant", "ness", "sectors"]),
+    ("tight_binding_n3", ["ness", "sectors"]),
+]:
+    for _command in _commands:
+        FIXTURES[f"{_prefix}_{_command}.json"] = (
+            [_command] + FIXTURES[f"{_prefix}_full.json"][1:]
+        )
 
 XYZ3 = [
     "--builtin", "xyz_bulk_dephasing",
