@@ -34,16 +34,12 @@ import ast
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .closure import (
-    INCONCLUSIVE,
-    ClosureResult,
-    certify_uniqueness,
-    commutant,
-)
+from .closure import INCONCLUSIVE, ClosureResult
 from .liouvillian import NumericalFailure, assemble, spectrum
 from .modelspec import (
     ModelParseError,
@@ -52,27 +48,11 @@ from .modelspec import (
     build_builtin,
     load_model,
 )
-from .ness import (
-    TRIVIAL_COMMUTANT,
-    NONTRIVIAL_COMMUTANT,
-    NessReport,
-    full_verdict,
-    per_sector_ness,
-    steady_states,
-)
+from .ness import NessReport, _run_stages, full_verdict, per_sector_ness, steady_states
 from .opalg import at_resolution
-from .symmetry import resolve_symmetry, sector_decompose, verify_invariant_blocks
+from .symmetry import verify_invariant_blocks
 
 SCHEMA_VERSION = "1"
-COMMAND_HELP = {
-    "check": "decide the uniqueness certificate (closure verdict only)",
-    "ness": "solve for steady states numerically",
-    "sectors": "per-sector analysis under the model's declared symmetry",
-    "closure": "operator-algebra closure with full diagnostics",
-    "commutant": "commutant of {H, L, L†} (uniqueness cross-check)",
-    "spectrum": "eigenvalues of the vectorized generator",
-    "full": "everything: certificate, commutant, sectors, kernel, checks",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +132,7 @@ def _ness_dict(r: NessReport, spec: ModelSpec) -> dict:
     tol = r.tol
     # the kernel cutoff is tol times the generator's largest singular value
     sigma_max = r.kernel_cutoff / tol if r.kernel_cutoff is not None else None
-    out = {
+    return {
         "generation_verdict": r.generation_verdict,
         "closure": _closure_dict(r.closure) if r.closure else None,
         "all_lindblads_hermitian": r.all_lindblads_hermitian,
@@ -162,7 +142,7 @@ def _ness_dict(r: NessReport, spec: ModelSpec) -> dict:
         "symmetry": r.symmetry,
         "symmetry_check": (
             _symmetry_check_dict(r.symmetry_check, spec, tol)
-            if r.symmetry_check
+            if r.symmetry_check is not None
             else None
         ),
         "sector_dims": r.sectors.dims if r.sectors else None,
@@ -206,7 +186,6 @@ def _ness_dict(r: NessReport, spec: ModelSpec) -> dict:
         ],
         "timings": r.timings,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +218,7 @@ def _closure_lines(c: ClosureResult) -> list:
 def _sector_lines(report: NessReport) -> list:
     lines = []
     if report.symmetry is not None:
-        ok = report.symmetry_check.ok if report.symmetry_check else False
+        ok = report.symmetry_check.ok
         lines.append(
             f"symmetry {report.symmetry}: "
             + ("verified strong symmetry" if ok else "FAILED verification; sectors skipped")
@@ -281,126 +260,156 @@ def _consistency_line(report: NessReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (payload, text, exit_code)
+# Commands
 
 
-def _cmd_check(spec, cfg):
-    cert = certify_uniqueness(spec, tol=cfg.tol, max_basis=cfg.max_basis)
-    payload = {
-        "generation_verdict": cert.verdict,
-        "closure": _closure_dict(cert.closure),
+def _verdict_lines(report: NessReport) -> list:
+    return [f"generation verdict: {report.generation_verdict}"] + _closure_lines(
+        report.closure
+    )
+
+
+def _commutant_line(report: NessReport) -> str:
+    return (
+        f"commutant of {{H, L, L*}}: dim {report.commutant.commutant_dim} "
+        f"({report.frigerio_verdict})"
+    )
+
+
+def _full_lines(report: NessReport) -> list:
+    herm = "yes" if report.all_lindblads_hermitian else "no"
+    if report.mixed_state_residual is not None:
+        herm += f"; ||L(I/d)|| = {_fmt(report.mixed_state_residual)}"
+    return (
+        _verdict_lines(report)
+        + [f"all jump operators Hermitian: {herm}", _commutant_line(report)]
+        + _sector_lines(report)
+        + _ness_lines(report)
+        + [_consistency_line(report)]
+    )
+
+
+def _ness_report(*keys):
+    """The JSON report of a NessReport: the given keys, or all of them."""
+
+    def report(result, spec, cfg):
+        out = _ness_dict(result, spec)
+        return {key: out[key] for key in keys} if keys else out
+
+    return report
+
+
+def _sectors(spec, cfg):
+    if not spec.declared_symmetries:
+        raise ModelValidationError(
+            "model declares no symmetry; the sectors command needs one"
+        )
+    report = per_sector_ness(spec, spec.declared_symmetries[0], tol=cfg.tol)
+    return report, verify_invariant_blocks(spec, report.sectors, seed=cfg.seed)
+
+
+def _sectors_report(result, spec, cfg):
+    report, blocks = result
+    out = _ness_dict(report, spec)
+    out["invariant_blocks"] = {
+        "status": blocks.status,
+        "max_leak": at_resolution(blocks.max_leak, cfg.tol, _generator_bound(spec)),
+        "detail": blocks.detail,
     }
-    text = "\n".join(
-        [_model_line(spec), f"generation verdict: {cert.verdict}"]
-        + _closure_lines(cert.closure)
+    return out
+
+
+def _sectors_lines(result) -> list:
+    report, blocks = result
+    return (
+        _sector_lines(report)
+        + [f"invariant blocks: {blocks.status} (max leak {_fmt(blocks.max_leak)})"]
+        + [_consistency_line(report)]
     )
-    return payload, text, 4 if cert.verdict == INCONCLUSIVE else 0
 
 
-def _cmd_closure(spec, cfg):
-    return _cmd_check(spec, cfg)
-
-
-def _cmd_commutant(spec, cfg):
-    ham, jumps = spec.operators()
-    gens = [ham] + list(jumps) + [j.dag() for j in jumps]
-    res = commutant(gens, spec.dim, tol=cfg.tol)
-    verdict = TRIVIAL_COMMUTANT if res.commutant_dim == 1 else NONTRIVIAL_COMMUTANT
-    payload = {"commutant_dim": res.commutant_dim, "frigerio_verdict": verdict}
-    text = "\n".join(
-        [
-            _model_line(spec),
-            f"commutant of {{H, L, L*}}: dim {res.commutant_dim} ({verdict})",
-            "note: a trivial commutant implies uniqueness only if a full-rank"
-            " steady state exists",
-        ]
-    )
-    return payload, text, 0
-
-
-def _cmd_spectrum(spec, cfg):
-    vals = spectrum(assemble(spec), cfg.tol)
-    payload = {
+def _spectrum_report(vals, spec, cfg):
+    return {
         "dim": spec.dim,
         "count": len(vals),
         "max_real_part": float(vals[0].real),
         "eigenvalues": [complex(v) for v in vals],
     }
-    text = "\n".join(
-        [
-            _model_line(spec),
-            f"spectrum: {len(vals)} eigenvalues, max real part {vals[0].real:.3e}",
-            "largest (by real part):",
-        ]
-        + [f"  {v.real:+.6e} {v.imag:+.6e}i" for v in vals[:8]]
-    )
-    return payload, text, 0
 
 
-def _cmd_ness(spec, cfg):
-    report = steady_states(spec, tol=cfg.tol)
-    payload = _ness_dict(report, spec)
-    text = "\n".join([_model_line(spec)] + _ness_lines(report))
-    return payload, text, 0
+def _spectrum_lines(vals) -> list:
+    return [
+        f"spectrum: {len(vals)} eigenvalues, max real part {vals[0].real:.3e}",
+        "largest (by real part):",
+    ] + [f"  {v.real:+.6e} {v.imag:+.6e}i" for v in vals[:8]]
 
 
-def _cmd_sectors(spec, cfg):
-    if not spec.declared_symmetries:
-        raise ModelValidationError(
-            "model declares no symmetry; the sectors command needs one"
-        )
-    descriptor = spec.declared_symmetries[0]
-    report = per_sector_ness(spec, descriptor, tol=cfg.tol)
-    s_op = resolve_symmetry(descriptor, spec)
-    blocks = verify_invariant_blocks(spec, sector_decompose(s_op), seed=cfg.seed)
-    payload = _ness_dict(report, spec)
-    payload["invariant_blocks"] = {
-        "status": blocks.status,
-        "max_leak": at_resolution(blocks.max_leak, cfg.tol, _generator_bound(spec)),
-        "detail": blocks.detail,
-    }
-    text = "\n".join(
-        [_model_line(spec)]
-        + _sector_lines(report)
-        + [f"invariant blocks: {blocks.status} (max leak {_fmt(blocks.max_leak)})"]
-        + [_consistency_line(report)]
-    )
-    return payload, text, 0
+class Command(NamedTuple):
+    """One CLI command.
+
+    ``analyse(spec, cfg)`` runs the analysis. ``report(result, spec, cfg)``
+    builds the JSON report from its result, and ``lines(result)`` the text
+    printed under the model line.
+    """
+
+    help: str
+    analyse: Callable
+    report: Callable
+    lines: Callable
 
 
-def _cmd_full(spec, cfg):
-    report = full_verdict(spec, tol=cfg.tol, max_basis=cfg.max_basis)
-    payload = _ness_dict(report, spec)
-    lines = [_model_line(spec), f"generation verdict: {report.generation_verdict}"]
-    lines += _closure_lines(report.closure)
-    herm = "yes" if report.all_lindblads_hermitian else "no"
-    lines.append(
-        f"all jump operators Hermitian: {herm}"
-        + (
-            f"; ||L(I/d)|| = {_fmt(report.mixed_state_residual)}"
-            if report.mixed_state_residual is not None
-            else ""
-        )
-    )
-    lines.append(
-        f"commutant of {{H, L, L*}}: dim {report.commutant.commutant_dim} "
-        f"({report.frigerio_verdict})"
-    )
-    lines += _sector_lines(report)
-    lines += _ness_lines(report)
-    lines.append(_consistency_line(report))
-    code = 4 if report.generation_verdict == INCONCLUSIVE else 0
-    return payload, "\n".join(lines), code
+def _certificate(spec, cfg):
+    return _run_stages(spec, {"closure"}, cfg.tol, cfg.max_basis)
 
 
-_IMPLS = {
-    "check": _cmd_check,
-    "ness": _cmd_ness,
-    "sectors": _cmd_sectors,
-    "closure": _cmd_closure,
-    "commutant": _cmd_commutant,
-    "spectrum": _cmd_spectrum,
-    "full": _cmd_full,
+# in the order `--help` lists them; check and closure are one analysis
+COMMANDS = {
+    "check": Command(
+        "decide the uniqueness certificate (closure verdict only)",
+        _certificate,
+        _ness_report("generation_verdict", "closure"),
+        _verdict_lines,
+    ),
+    "ness": Command(
+        "solve for steady states numerically",
+        lambda spec, cfg: steady_states(spec, tol=cfg.tol),
+        _ness_report(),
+        _ness_lines,
+    ),
+    "sectors": Command(
+        "per-sector analysis under the model's declared symmetry",
+        _sectors,
+        _sectors_report,
+        _sectors_lines,
+    ),
+    "closure": Command(
+        "operator-algebra closure with full diagnostics",
+        _certificate,
+        _ness_report("generation_verdict", "closure"),
+        _verdict_lines,
+    ),
+    "commutant": Command(
+        "commutant of {H, L, L†} (uniqueness cross-check)",
+        lambda spec, cfg: _run_stages(spec, {"commutant"}, cfg.tol),
+        _ness_report("commutant_dim", "frigerio_verdict"),
+        lambda report: [
+            _commutant_line(report),
+            "note: a trivial commutant implies uniqueness only if a full-rank"
+            " steady state exists",
+        ],
+    ),
+    "spectrum": Command(
+        "eigenvalues of the vectorized generator",
+        lambda spec, cfg: spectrum(assemble(spec), cfg.tol),
+        _spectrum_report,
+        _spectrum_lines,
+    ),
+    "full": Command(
+        "everything: certificate, commutant, sectors, kernel, checks",
+        lambda spec, cfg: full_verdict(spec, tol=cfg.tol, max_basis=cfg.max_basis),
+        _ness_report(),
+        _full_lines,
+    ),
 }
 
 
@@ -448,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in COMMAND_HELP.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=command.help)
     return parser
 
 
@@ -473,7 +482,10 @@ def run(argv=None) -> int:
 
     try:
         spec = _load_spec(args)
-        payload, text, code = _IMPLS[args.command](spec, args)
+        command = COMMANDS[args.command]
+        result = command.analyse(spec, args)
+        payload = command.report(result, spec, args)
+        text = "\n".join([_model_line(spec)] + command.lines(result))
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -484,6 +496,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    code = 4 if payload.get("generation_verdict") == INCONCLUSIVE else 0
     if args.json:
         envelope = {
             "schema_version": SCHEMA_VERSION,

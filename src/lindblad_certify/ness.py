@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,9 +65,6 @@ class ConsistencyCheck:
     passed: bool
     detail: str
 
-    def __bool__(self):
-        return self.passed
-
 
 @dataclass
 class SectorReport:
@@ -108,7 +106,6 @@ class NessReport:
     always sits in ``hermitian_kernel_basis``.
     """
 
-    model: dict
     tol: float
     generation_verdict: str | None = None
     closure: ClosureResult | None = None
@@ -139,38 +136,31 @@ class NessReport:
         return all(c.passed for c in self.consistency)
 
 
-def _model_echo(spec: ModelSpec) -> dict:
-    echo = spec.to_dict()
-    echo["dim"] = spec.dim
-    return echo
-
-
 def _hermitian_kernel_basis(raw: np.ndarray, d: int, tol: float) -> HSBasis:
     """Re-express a kernel as an orthonormal basis of Hermitian operators.
 
-    The generator commutes with the adjoint map, so the kernel is closed
-    under Hermitian conjugation and is spanned by the Hermitian and
-    anti-Hermitian parts of its elements. Gram-Schmidt coefficients between
-    Hermitian operators are real (Tr(AB) is real for Hermitian A, B), so
-    feeding only Hermitian candidates keeps every accepted basis element
-    Hermitian; counting them checks that the kernel is adjoint-closed.
+    The generator commutes with the adjoint map, so its kernel is closed
+    under Hermitian conjugation and is spanned by Hermitian operators. That
+    is checked first: with P the orthonormal kernel vectors (the columns of
+    ``raw``) and M_j column j as a d x d matrix, every
+    ||(I - PP†) vec(M_j†)|| must be at most tol. The test measures the
+    subspace alone, so no rank decision among near-dependent candidates
+    enters it.
 
     The SVD's basis of a kernel is its own choice (it changes with the
     LAPACK driver and the BLAS thread count, and even a one-dimensional
     kernel comes with an arbitrary phase), so the basis returned is the one
     the kernel itself picks out: see _probe_basis.
     """
-    basis = HSBasis(d)
-    cands = np.empty((2 * raw.shape[1], d * d), dtype=complex)
-    for i, col in enumerate(raw.T):
-        m = col.reshape(d, d, order="F")
-        cands[2 * i] = (0.5 * (m + m.conj().T)).ravel()
-        cands[2 * i + 1] = (-0.5j * (m - m.conj().T)).ravel()
-    basis.extend_block(cands, tol)
-    if len(basis) != raw.shape[1]:
+    k = raw.shape[1]
+    # column j of ``adjoints`` is vec(M_j†), column-stacked like ``raw``
+    adjoints = raw.reshape(d, d, k, order="F").conj().transpose(1, 0, 2)
+    adjoints = adjoints.reshape(d * d, k, order="F")
+    leak = float(np.linalg.norm(adjoints - raw @ (raw.conj().T @ adjoints), axis=0).max())
+    if leak > tol:
         raise NumericalFailure(
-            f"kernel of dimension {raw.shape[1]} yielded {len(basis)} Hermitian "
-            "directions; the kernel is not adjoint-closed at this tolerance"
+            f"kernel of dimension {k} is not adjoint-closed, so not spanned by "
+            f"Hermitian directions: an adjoint leaves it by {leak:.3e}"
         )
     return _probe_basis(raw, d)
 
@@ -254,61 +244,20 @@ def _state_metrics(state: Operator, ham_mat, jump_mats):
     return min_eig, ratio, resid
 
 
-def _kernel_slice(spec: ModelSpec, tol: float) -> dict:
-    ham, jumps = spec.operators()
-    jump_mats = [j.mat for j in jumps]
-    lm = assemble(spec)
-    raw, svals = kernel_and_values(lm, tol)
-    k = raw.shape[1]
-    d = spec.dim
-    cutoff = tol * float(svals[0]) if svals.size else 0.0
-    sigma_below = float(svals[-k]) if k >= 1 and k <= svals.size else None
-    sigma_above = float(svals[-k - 1]) if k < svals.size else None
+def _solve(lm, ham_mat, jump_mats, tol: float):
+    """Solve the kernel of one generator and pick its canonical state.
 
-    basis = _hermitian_kernel_basis(raw, d, tol)
-    canonical = _canonical_state(basis, d)
-    positive = None
-    states, min_eigs, ratios, stat_norms = [], [], [], []
-    if canonical is not None:
-        min_eig, ratio, resid = _state_metrics(canonical, ham.mat, jump_mats)
-        positive = min_eig >= -POSITIVITY_TOL
-        if positive:
-            states = [canonical]
-            min_eigs = [min_eig]
-            ratios = [ratio]
-            stat_norms = [resid]
-        else:
-            canonical = None
-    return {
-        "kernel_dim": k,
-        "kernel_cutoff": cutoff,
-        "kernel_sigma_below": sigma_below,
-        "kernel_sigma_above": sigma_above,
-        "hermitian_kernel_basis": basis.vectors,
-        "steady_states": states,
-        "min_eigenvalues": min_eigs,
-        "eigenvalue_ratios": ratios,
-        "stationarity_norms": stat_norms,
-        "canonical_state": canonical,
-        "canonical_is_positive": positive,
-    }
-
-
-def steady_states(spec: ModelSpec, tol: float = 1e-9) -> NessReport:
-    """Solve the vectorized generator's kernel and extract density operators.
-
-    The kernel basis is re-expressed in Hermitian form; a canonical
-    trace-one state is the projection of I/d onto the kernel (for a unique
-    steady state this is the state itself). The canonical state enters
-    ``steady_states`` only when it passes the positivity check; a
-    degenerate kernel is reported in full either way.
+    Returns the singular values, the Hermitian kernel basis, the canonical
+    state, and the state's (min eigenvalue, eigenvalue ratio, stationarity
+    residual). The state and its three metrics are None when the kernel
+    has no canonical state.
     """
-    report = NessReport(model=_model_echo(spec), tol=tol)
-    t0 = time.perf_counter()
-    for key, value in _kernel_slice(spec, tol).items():
-        setattr(report, key, value)
-    report.timings["kernel"] = time.perf_counter() - t0
-    return report
+    raw, svals = kernel_and_values(lm, tol)
+    basis = _hermitian_kernel_basis(raw, lm.d, tol)
+    state = _canonical_state(basis, lm.d)
+    if state is None:
+        return svals, basis, None, (None, None, None)
+    return svals, basis, state, _state_metrics(state, ham_mat, jump_mats)
 
 
 def _sector_slice(spec: ModelSpec, sectors: SectorDecomposition, tol: float):
@@ -321,13 +270,11 @@ def _sector_slice(spec: ModelSpec, sectors: SectorDecomposition, tol: float):
         d_a = iso.shape[1]
         h_a = iso.conj().T @ ham.mat @ iso
         l_a = [iso.conj().T @ j.mat @ iso for j in jumps]
-        lm_a = assemble_matrices(h_a, l_a)
-        raw, svals = kernel_and_values(lm_a, tol)
-        basis = _hermitian_kernel_basis(raw, d_a, tol)
-        state = _canonical_state(basis, d_a)
-        min_eig = ratio = resid = dist = None
+        svals, basis, state, (min_eig, ratio, resid) = _solve(
+            assemble_matrices(h_a, l_a), h_a, l_a, tol
+        )
+        dist = None
         if state is not None:
-            min_eig, ratio, resid = _state_metrics(state, h_a, l_a)
             dist = float(
                 np.linalg.norm(state.mat - np.eye(d_a, dtype=complex) / d_a)
             )
@@ -340,7 +287,7 @@ def _sector_slice(spec: ModelSpec, sectors: SectorDecomposition, tol: float):
                 dim=d_a,
                 closure=closures[i],
                 certified=closures[i].is_full,
-                kernel_dim=raw.shape[1],
+                kernel_dim=len(basis),
                 state=state,
                 min_eigenvalue=min_eig,
                 eigenvalue_ratio=ratio,
@@ -352,8 +299,200 @@ def _sector_slice(spec: ModelSpec, sectors: SectorDecomposition, tol: float):
     return reports
 
 
-def _symmetry_name(descriptor) -> str:
-    return descriptor if isinstance(descriptor, str) else "custom"
+def _implication(name, premise, conclusion, detail_applies, detail_not):
+    if not premise:
+        return ConsistencyCheck(name, True, detail_not)
+    return ConsistencyCheck(name, bool(conclusion), detail_applies)
+
+
+# The stages, in pipeline order. Each fills its own slice of the report.
+
+
+def _closure_stage(report: NessReport, spec: ModelSpec, max_basis):
+    cert = certify_uniqueness(spec, tol=report.tol, max_basis=max_basis)
+    report.generation_verdict = cert.verdict
+    report.closure = cert.closure
+
+
+def _hermitian_path_stage(report: NessReport, spec: ModelSpec):
+    """With Hermitian jumps I/d is stationary; measure ||L(I/d)||."""
+    ham, jumps = spec.operators()
+    if all(j.is_hermitian() for j in jumps):
+        mixed = np.eye(spec.dim, dtype=complex) / spec.dim
+        report.mixed_state_residual = float(
+            np.linalg.norm(apply_matrices(ham.mat, [j.mat for j in jumps], mixed))
+        )
+
+
+def _commutant_stage(report: NessReport, spec: ModelSpec):
+    ham, jumps = spec.operators()
+    gens = [ham] + jumps + [j.dag() for j in jumps]
+    report.commutant = commutant(gens, spec.dim, report.tol)
+    report.frigerio_verdict = (
+        TRIVIAL_COMMUTANT if report.commutant.commutant_dim == 1 else NONTRIVIAL_COMMUTANT
+    )
+
+
+def _sectors_stage(report: NessReport, spec: ModelSpec, symmetry):
+    """Sector analysis under ``symmetry``, skipped when it fails verification."""
+    report.symmetry = symmetry if isinstance(symmetry, str) else "custom"
+    s_op = resolve_symmetry(symmetry, spec)
+    report.symmetry_check = verify_strong_symmetry(s_op, spec)
+    if report.symmetry_check.ok:
+        report.sectors = sector_decompose(s_op)
+        report.per_sector = _sector_slice(spec, report.sectors, report.tol)
+
+
+def _kernel_stage(report: NessReport, spec: ModelSpec):
+    ham, jumps = spec.operators()
+    svals, basis, state, (min_eig, ratio, resid) = _solve(
+        assemble(spec), ham.mat, [j.mat for j in jumps], report.tol
+    )
+    k = len(basis)
+    report.kernel_dim = k
+    report.kernel_cutoff = report.tol * float(svals[0]) if svals.size else 0.0
+    report.kernel_sigma_below = float(svals[-k]) if k <= svals.size else None
+    report.kernel_sigma_above = float(svals[-k - 1]) if k < svals.size else None
+    report.hermitian_kernel_basis = basis.vectors
+    if state is not None:
+        report.canonical_is_positive = min_eig >= -POSITIVITY_TOL
+        if report.canonical_is_positive:
+            report.canonical_state = state
+            report.steady_states = [state]
+            report.min_eigenvalues = [min_eig]
+            report.eigenvalue_ratios = [ratio]
+            report.stationarity_norms = [resid]
+
+
+def _consistency_stage(report: NessReport, spec: ModelSpec):
+    """Named implications between the verdicts and the numerics.
+
+    What the certificates imply for the kernel solves is checked when the
+    global kernel was solved; the sector states are checked in every case.
+    """
+    all_herm = all(j.is_hermitian() for j in spec.lindblads())
+    report.all_lindblads_hermitian = all_herm
+    sectors = report.per_sector or []
+    if report.kernel_dim is not None:
+        certified = report.generation_verdict == CERTIFIED_UNIQUE
+        report.consistency += [
+            _implication(
+                "certified_implies_unique_kernel",
+                certified,
+                report.kernel_dim == 1,
+                f"kernel_dim = {report.kernel_dim}",
+                "not certified; no uniqueness claim to check",
+            ),
+            _implication(
+                "certified_implies_positive_state",
+                certified,
+                report.min_eigenvalues and report.min_eigenvalues[0] > 0,
+                f"min eigenvalue = {at_resolution(report.min_eigenvalues[0], report.tol):.3e}"
+                if report.min_eigenvalues
+                else "no positive state found",
+                "not certified; no positivity claim to check",
+            ),
+        ]
+        mixed_check = "hermitian_certified_implies_maximally_mixed"
+        state, d = report.canonical_state, spec.dim
+        if certified and all_herm and state is not None:
+            dist = float(np.linalg.norm(state.mat - np.eye(d, dtype=complex) / d))
+            report.consistency.append(
+                ConsistencyCheck(
+                    mixed_check,
+                    dist <= MIXED_STATE_TOL,
+                    f"||rho - I/d|| = {at_resolution(dist, report.tol):.3e}",
+                )
+            )
+        else:
+            report.consistency.append(
+                ConsistencyCheck(
+                    mixed_check, True, "premise absent: needs certification and Hermitian jumps"
+                )
+            )
+        degenerate = [s.index for s in sectors if s.certified and s.kernel_dim != 1]
+        report.consistency.append(
+            _implication(
+                "sector_certified_implies_unique_sector_kernel",
+                report.per_sector is not None,
+                not degenerate,
+                "all certified sectors have one-dimensional kernels"
+                if not degenerate
+                else f"sectors {degenerate} certified with degenerate kernels",
+                "no sector analysis",
+            )
+        )
+    unmixed = [
+        s.index
+        for s in sectors
+        if s.certified
+        and (s.distance_to_mixed is None or s.distance_to_mixed > MIXED_STATE_TOL)
+    ]
+    report.consistency.append(
+        _implication(
+            "hermitian_certified_sectors_maximally_mixed",
+            all_herm and report.per_sector is not None,
+            not unmixed,
+            "every certified sector state is maximally mixed"
+            if not unmixed
+            else f"sectors {unmixed} certified but not maximally mixed",
+            "premise absent: needs Hermitian jumps and sector analysis",
+        )
+    )
+
+
+@contextmanager
+def _stage(name: str, timings: dict):
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
+        raise
+    finally:
+        timings[name] = time.perf_counter() - t0
+
+
+def _run_stages(
+    spec: ModelSpec, stages, tol: float, max_basis: int | None = None, symmetry=None
+) -> NessReport:
+    """Run the named stages on one model, in pipeline order, into one report.
+
+    The pipeline is closure, hermitian_path, commutant, sectors, kernel,
+    consistency; ``stages`` names the ones to run. Each is timed under its
+    name, and an error it raises has the name prefixed to its message.
+    ``max_basis`` caps the closure; ``symmetry`` is the declared-symmetry
+    entry (a name or an Operator) that the sectors stage analyses.
+    """
+    report = NessReport(tol=tol)
+    pipeline = {
+        "closure": partial(_closure_stage, report, spec, max_basis),
+        "hermitian_path": partial(_hermitian_path_stage, report, spec),
+        "commutant": partial(_commutant_stage, report, spec),
+        "sectors": partial(_sectors_stage, report, spec, symmetry),
+        "kernel": partial(_kernel_stage, report, spec),
+        "consistency": partial(_consistency_stage, report, spec),
+    }
+    total0 = time.perf_counter()
+    for name, fill in pipeline.items():
+        if name in stages:
+            with _stage(name, report.timings):
+                fill()
+    report.timings["total"] = time.perf_counter() - total0
+    return report
+
+
+def steady_states(spec: ModelSpec, tol: float = 1e-9) -> NessReport:
+    """Solve the vectorized generator's kernel and extract density operators.
+
+    The kernel basis is re-expressed in Hermitian form; a canonical
+    trace-one state is the projection of I/d onto the kernel (for a unique
+    steady state this is the state itself). The canonical state enters
+    ``steady_states`` only when it passes the positivity check; a
+    degenerate kernel is reported in full either way.
+    """
+    return _run_stages(spec, {"kernel"}, tol)
 
 
 def per_sector_ness(spec: ModelSpec, S, tol: float = 1e-9) -> NessReport:
@@ -362,25 +501,35 @@ def per_sector_ness(spec: ModelSpec, S, tol: float = 1e-9) -> NessReport:
     Raises when S fails the commutation test: restricting a model to the
     eigenspaces of a non-symmetry produces numbers with no meaning.
     """
-    s_op = resolve_symmetry(S, spec)
-    check = verify_strong_symmetry(s_op, spec)
+    report = _run_stages(spec, {"sectors", "consistency"}, tol, symmetry=S)
+    check = report.symmetry_check
     if not check.ok:
         worst = max(check.commutator_norms, key=check.commutator_norms.get)
         raise ValueError(
             "not a strong symmetry: largest commutator "
             f"||[S, {worst}]|| = {check.commutator_norms[worst]:.3e}"
         )
-    report = NessReport(model=_model_echo(spec), tol=tol)
-    report.symmetry = _symmetry_name(S)
-    report.symmetry_check = check
-    t0 = time.perf_counter()
-    report.sectors = sector_decompose(s_op)
-    report.per_sector = _sector_slice(spec, report.sectors, tol)
-    report.timings["sectors"] = time.perf_counter() - t0
-    all_herm = all(j.is_hermitian() for j in spec.lindblads())
-    report.all_lindblads_hermitian = all_herm
-    report.consistency = [_sector_mixed_check(all_herm, report.per_sector)]
     return report
+
+
+def full_verdict(
+    spec: ModelSpec, tol: float = 1e-9, max_basis: int | None = None
+) -> NessReport:
+    """Run the whole pipeline on one model and cross-check the pieces.
+
+    Stages: generation certificate, Hermitian-jump shortcut, commutant test
+    (advisory: it presumes a full-rank steady state exists), sector analysis
+    under the first declared symmetry, numerical kernel solve, consistency
+    checks. A declared symmetry that fails verification is recorded and its
+    sector analysis skipped; it does not abort the rest. Errors inside a
+    stage propagate with the stage name prefixed.
+    """
+    stages = {"closure", "hermitian_path", "commutant", "kernel", "consistency"}
+    if not spec.declared_symmetries:
+        return _run_stages(spec, stages, tol, max_basis)
+    return _run_stages(
+        spec, stages | {"sectors"}, tol, max_basis, spec.declared_symmetries[0]
+    )
 
 
 def kernel_invariance_diagnostic(
@@ -437,163 +586,3 @@ def kernel_invariance_diagnostic(
         passed=passed,
         tol=tol,
     )
-
-
-@contextmanager
-def _stage(name: str, timings: dict):
-    t0 = time.perf_counter()
-    try:
-        yield
-    except Exception as exc:
-        if exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
-        raise
-    finally:
-        timings[name] = time.perf_counter() - t0
-
-
-def _implication(name, premise, conclusion, detail_applies, detail_not):
-    if not premise:
-        return ConsistencyCheck(name, True, detail_not)
-    return ConsistencyCheck(name, bool(conclusion), detail_applies)
-
-
-def _sector_mixed_check(all_herm, per_sector):
-    name = "hermitian_certified_sectors_maximally_mixed"
-    if not all_herm or per_sector is None:
-        return ConsistencyCheck(name, True, "premise absent: needs Hermitian jumps and sector analysis")
-    bad = [
-        s.index
-        for s in per_sector
-        if s.certified
-        and (s.distance_to_mixed is None or s.distance_to_mixed > MIXED_STATE_TOL)
-    ]
-    detail = (
-        "every certified sector state is maximally mixed"
-        if not bad
-        else f"sectors {bad} certified but not maximally mixed"
-    )
-    return ConsistencyCheck(name, not bad, detail)
-
-
-def full_verdict(
-    spec: ModelSpec, tol: float = 1e-9, max_basis: int | None = None
-) -> NessReport:
-    """Run the whole pipeline on one model and cross-check the pieces.
-
-    Stages: generation certificate, Hermitian-jump shortcut, commutant test
-    (advisory: it presumes a full-rank steady state exists), sector analysis
-    under the first declared symmetry, numerical kernel solve, consistency
-    checks. A declared symmetry that fails verification is recorded and its
-    sector analysis skipped; it does not abort the rest. Errors inside a
-    stage propagate with the stage name prefixed.
-    """
-    report = NessReport(model=_model_echo(spec), tol=tol)
-    timings = report.timings
-    total0 = time.perf_counter()
-    ham, jumps = spec.operators()
-    d = spec.dim
-
-    with _stage("closure", timings):
-        cert = certify_uniqueness(spec, tol=tol, max_basis=max_basis)
-        report.generation_verdict = cert.verdict
-        report.closure = cert.closure
-
-    with _stage("hermitian_path", timings):
-        all_herm = all(j.is_hermitian() for j in jumps)
-        report.all_lindblads_hermitian = all_herm
-        if all_herm:
-            mixed = np.eye(d, dtype=complex) / d
-            report.mixed_state_residual = float(
-                np.linalg.norm(apply_matrices(ham.mat, [j.mat for j in jumps], mixed))
-            )
-
-    with _stage("commutant", timings):
-        gens = [ham] + list(jumps) + [j.dag() for j in jumps]
-        report.commutant = commutant(gens, d, tol)
-        report.frigerio_verdict = (
-            TRIVIAL_COMMUTANT
-            if report.commutant.commutant_dim == 1
-            else NONTRIVIAL_COMMUTANT
-        )
-
-    if spec.declared_symmetries:
-        with _stage("sectors", timings):
-            descriptor = spec.declared_symmetries[0]
-            report.symmetry = _symmetry_name(descriptor)
-            s_op = resolve_symmetry(descriptor, spec)
-            report.symmetry_check = verify_strong_symmetry(s_op, spec)
-            if report.symmetry_check.ok:
-                report.sectors = sector_decompose(s_op)
-                report.per_sector = _sector_slice(spec, report.sectors, tol)
-
-    with _stage("kernel", timings):
-        for key, value in _kernel_slice(spec, tol).items():
-            setattr(report, key, value)
-
-    with _stage("consistency", timings):
-        certified = report.generation_verdict == CERTIFIED_UNIQUE
-        report.consistency = [
-            _implication(
-                "certified_implies_unique_kernel",
-                certified,
-                report.kernel_dim == 1,
-                f"kernel_dim = {report.kernel_dim}",
-                "not certified; no uniqueness claim to check",
-            ),
-            _implication(
-                "certified_implies_positive_state",
-                certified,
-                report.min_eigenvalues and report.min_eigenvalues[0] > 0,
-                f"min eigenvalue = {at_resolution(report.min_eigenvalues[0], tol):.3e}"
-                if report.min_eigenvalues
-                else "no positive state found",
-                "not certified; no positivity claim to check",
-            ),
-        ]
-        if certified and all_herm and report.canonical_state is not None:
-            dist = float(
-                np.linalg.norm(
-                    report.canonical_state.mat - np.eye(d, dtype=complex) / d
-                )
-            )
-            report.consistency.append(
-                ConsistencyCheck(
-                    "hermitian_certified_implies_maximally_mixed",
-                    dist <= MIXED_STATE_TOL,
-                    f"||rho - I/d|| = {at_resolution(dist, tol):.3e}",
-                )
-            )
-        else:
-            report.consistency.append(
-                ConsistencyCheck(
-                    "hermitian_certified_implies_maximally_mixed",
-                    True,
-                    "premise absent: needs certification and Hermitian jumps",
-                )
-            )
-        if report.per_sector is not None:
-            bad = [
-                s.index for s in report.per_sector if s.certified and s.kernel_dim != 1
-            ]
-            report.consistency.append(
-                ConsistencyCheck(
-                    "sector_certified_implies_unique_sector_kernel",
-                    not bad,
-                    "all certified sectors have one-dimensional kernels"
-                    if not bad
-                    else f"sectors {bad} certified with degenerate kernels",
-                )
-            )
-        else:
-            report.consistency.append(
-                ConsistencyCheck(
-                    "sector_certified_implies_unique_sector_kernel",
-                    True,
-                    "no sector analysis",
-                )
-            )
-        report.consistency.append(_sector_mixed_check(all_herm, report.per_sector))
-
-    timings["total"] = time.perf_counter() - total0
-    return report

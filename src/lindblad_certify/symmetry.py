@@ -57,9 +57,6 @@ class SymmetryCheck:
     ok: bool
     commutator_norms: dict
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_strong_symmetry(S: Operator, spec: ModelSpec, tol: float = 1e-9) -> SymmetryCheck:
     """Check [S, H] = 0 and [S, L_m] = 0 for all m, within tol (HS norm)."""

@@ -199,6 +199,48 @@ class TestJsonReports:
         assert doc["report"]["invariant_blocks"]["status"] == "passed"
         assert doc["report"]["sector_dims"] == [4, 4]
 
+    def test_sectors_decomposes_the_symmetry_once(self, monkeypatch, capsys):
+        original = lindblad_certify.symmetry.sector_decompose
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every module-level binding a caller could resolve
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lindblad_certify") and getattr(
+                module, "sector_decompose", None
+            ) is original:
+                monkeypatch.setattr(module, "sector_decompose", counted)
+        code, _ = run_json(["sectors"] + XYZ3, capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_failed_declared_symmetry_reports_its_commutators(self, tmp_path, capsys):
+        # H = X_1 anticommutes with the declared parity Z_1 Z_2; L = Z_1 commutes
+        model = {
+            "n_sites": 2,
+            "hamiltonian": [{"coeff": [1, 0], "factors": [{"site": 1, "op": "X"}]}],
+            "lindblad": [
+                {
+                    "label": "L",
+                    "terms": [{"coeff": [1, 0], "factors": [{"site": 1, "op": "Z"}]}],
+                }
+            ],
+            "symmetries": ["parity_z"],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, doc = run_json(["full", "--model", str(path)], capsys)
+        assert code == 0
+        assert doc["report"]["symmetry"] == "parity_z"
+        assert doc["report"]["symmetry_check"] == {
+            "ok": False,
+            "commutator_norms": {"H": 4.0, "L": 0.0},
+        }
+        assert doc["report"]["per_sector"] is None
+
 
 class TestDeterminism:
     def test_identical_config_identical_bytes_modulo_timings(self, capsys):
