@@ -8,6 +8,7 @@ document. Exit codes separate the four outcomes CI cares about:
     2  usage or model error (bad arguments, bad file, unknown builtin)
     3  numerical failure
     4  closure stopped by the basis cap: verdict inconclusive
+    5  out of memory: an allocation failed during the analysis
 
 JSON reports are deterministic for a fixed configuration: keys are sorted,
 floats are rounded to 10 significant digits, complex numbers appear as
@@ -25,6 +26,8 @@ for the spectrum, resolved before it is sorted. The Hermitian kernel basis
 is the one picked out by a fixed ordered list of probe operators
 (ness._probe_basis), so it depends on the kernel, not on how LAPACK
 happened to span it. Verdicts and in-memory reports keep full precision.
+The text output is rendered from the same resolved report, so it does not
+depend on the LAPACK driver or the thread count either.
 """
 
 from __future__ import annotations
@@ -205,57 +208,56 @@ def _model_line(spec: ModelSpec) -> str:
     return f"model: {name} ({spec.n_sites} site(s), dim {spec.dim})"
 
 
-def _closure_lines(c: ClosureResult) -> list:
-    status = "saturated" if c.saturated else "stopped by basis cap"
+def _closure_lines(c: dict) -> list:
+    status = "saturated" if c["saturated"] else "stopped by basis cap"
     return [
-        f"closure: generated {c.generated_dim} of {c.full_dim_target} dimensions "
-        f"in {c.rounds} round(s), {status}",
-        f"margins: min accepted ratio {_fmt(c.min_accepted_ratio)}, "
-        f"max rejected ratio {_fmt(c.max_rejected_ratio)} (tol {c.tol_used:g})",
+        f"closure: generated {c['generated_dim']} of {c['full_dim_target']} dimensions "
+        f"in {c['rounds']} round(s), {status}",
+        f"margins: min accepted ratio {_fmt(c['min_accepted_ratio'])}, "
+        f"max rejected ratio {_fmt(c['max_rejected_ratio'])} (tol {c['tol_used']:g})",
     ]
 
 
-def _sector_lines(report: NessReport) -> list:
+def _sector_lines(report: dict) -> list:
     lines = []
-    if report.symmetry is not None:
-        ok = report.symmetry_check.ok
+    if report["symmetry"] is not None:
+        ok = report["symmetry_check"]["ok"]
         lines.append(
-            f"symmetry {report.symmetry}: "
+            f"symmetry {report['symmetry']}: "
             + ("verified strong symmetry" if ok else "FAILED verification; sectors skipped")
         )
-    if report.per_sector:
-        for s in report.per_sector:
-            ev = s.eigenvalue
-            lines.append(
-                f"  sector {s.index}: eigenvalue {ev.real:+.4f}{ev.imag:+.4f}i, "
-                f"dim {s.dim}, "
-                + ("certified" if s.certified else "not certified")
-                + f", kernel dim {s.kernel_dim}, "
-                f"distance to mixed {_fmt(s.distance_to_mixed)}"
-            )
+    for s in report["per_sector"] or []:
+        ev = s["eigenvalue"]
+        lines.append(
+            f"  sector {s['index']}: eigenvalue {ev.real:+.4f}{ev.imag:+.4f}i, "
+            f"dim {s['dim']}, "
+            + ("certified" if s["certified"] else "not certified")
+            + f", kernel dim {s['kernel_dim']}, "
+            f"distance to mixed {_fmt(s['distance_to_mixed'])}"
+        )
     return lines
 
 
-def _ness_lines(report: NessReport) -> list:
-    lines = [f"kernel: dim {report.kernel_dim} (cutoff {_fmt(report.kernel_cutoff)})"]
-    if report.canonical_state is not None:
+def _ness_lines(report: dict) -> list:
+    lines = [f"kernel: dim {report['kernel_dim']} (cutoff {_fmt(report['kernel_cutoff'])})"]
+    if report["canonical_state"] is not None:
         lines.append(
             "canonical state: positive, "
-            f"min eigenvalue {_fmt(report.min_eigenvalues[0])}, "
-            f"stationarity {_fmt(report.stationarity_norms[0])}"
+            f"min eigenvalue {_fmt(report['min_eigenvalues'][0])}, "
+            f"stationarity {_fmt(report['stationarity_norms'][0])}"
         )
     else:
         lines.append("canonical state: none (projection not positive); kernel basis reported")
     return lines
 
 
-def _consistency_line(report: NessReport) -> str:
-    total = len(report.consistency)
-    passed = sum(1 for c in report.consistency if c.passed)
-    line = f"consistency: {passed}/{total} passed"
-    for c in report.consistency:
-        if not c.passed:
-            line += f"\n  FAILED {c.name}: {c.detail}"
+def _consistency_line(report: dict) -> str:
+    checks = report["consistency"]
+    passed = sum(1 for c in checks if c["passed"])
+    line = f"consistency: {passed}/{len(checks)} passed"
+    for c in checks:
+        if not c["passed"]:
+            line += f"\n  FAILED {c['name']}: {c['detail']}"
     return line
 
 
@@ -263,23 +265,23 @@ def _consistency_line(report: NessReport) -> str:
 # Commands
 
 
-def _verdict_lines(report: NessReport) -> list:
-    return [f"generation verdict: {report.generation_verdict}"] + _closure_lines(
-        report.closure
+def _verdict_lines(report: dict) -> list:
+    return [f"generation verdict: {report['generation_verdict']}"] + _closure_lines(
+        report["closure"]
     )
 
 
-def _commutant_line(report: NessReport) -> str:
+def _commutant_line(report: dict) -> str:
     return (
-        f"commutant of {{H, L, L*}}: dim {report.commutant.commutant_dim} "
-        f"({report.frigerio_verdict})"
+        f"commutant of {{H, L, L*}}: dim {report['commutant_dim']} "
+        f"({report['frigerio_verdict']})"
     )
 
 
-def _full_lines(report: NessReport) -> list:
-    herm = "yes" if report.all_lindblads_hermitian else "no"
-    if report.mixed_state_residual is not None:
-        herm += f"; ||L(I/d)|| = {_fmt(report.mixed_state_residual)}"
+def _full_lines(report: dict) -> list:
+    herm = "yes" if report["all_lindblads_hermitian"] else "no"
+    if report["mixed_state_residual"] is not None:
+        herm += f"; ||L(I/d)|| = {_fmt(report['mixed_state_residual'])}"
     return (
         _verdict_lines(report)
         + [f"all jump operators Hermitian: {herm}", _commutant_line(report)]
@@ -319,11 +321,11 @@ def _sectors_report(result, spec, cfg):
     return out
 
 
-def _sectors_lines(result) -> list:
-    report, blocks = result
+def _sectors_lines(report: dict) -> list:
+    blocks = report["invariant_blocks"]
     return (
         _sector_lines(report)
-        + [f"invariant blocks: {blocks.status} (max leak {_fmt(blocks.max_leak)})"]
+        + [f"invariant blocks: {blocks['status']} (max leak {_fmt(blocks['max_leak'])})"]
         + [_consistency_line(report)]
     )
 
@@ -337,19 +339,20 @@ def _spectrum_report(vals, spec, cfg):
     }
 
 
-def _spectrum_lines(vals) -> list:
+def _spectrum_lines(report: dict) -> list:
     return [
-        f"spectrum: {len(vals)} eigenvalues, max real part {vals[0].real:.3e}",
+        f"spectrum: {report['count']} eigenvalues, max real part {report['max_real_part']:.3e}",
         "largest (by real part):",
-    ] + [f"  {v.real:+.6e} {v.imag:+.6e}i" for v in vals[:8]]
+    ] + [f"  {v.real:+.6e} {v.imag:+.6e}i" for v in report["eigenvalues"][:8]]
 
 
 class Command(NamedTuple):
     """One CLI command.
 
     ``analyse(spec, cfg)`` runs the analysis. ``report(result, spec, cfg)``
-    builds the JSON report from its result, and ``lines(result)`` the text
-    printed under the model line.
+    builds the JSON report from its result, and ``lines(report)`` renders
+    that report as the text printed under the model line, so text and JSON
+    show the same resolved values.
     """
 
     help: str
@@ -485,7 +488,7 @@ def run(argv=None) -> int:
         command = COMMANDS[args.command]
         result = command.analyse(spec, args)
         payload = command.report(result, spec, args)
-        text = "\n".join([_model_line(spec)] + command.lines(result))
+        text = "\n".join([_model_line(spec)] + command.lines(payload))
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -495,6 +498,9 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 5
 
     code = 4 if payload.get("generation_verdict") == INCONCLUSIVE else 0
     if args.json:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .modelspec import ModelSpec
 from .opalg import HSBasis, Operator
@@ -210,26 +211,40 @@ def commutant(generators, d: int, tol: float = DEFAULT_TOL) -> CommutantResult:
     applying the positive-definite-steady-state uniqueness test (Frigerio)
     must include adjoints in the generator list; this function does not add
     them.
+
+    The stack is (n_gen d²) x d² and only its singular values and right
+    vectors are needed. They are those of its d² x d² R factor, so the stack
+    is QR-factorised in place and only R goes through the SVD; neither U nor
+    a Gram matrix (which would square the cutoff) is ever formed.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("generator list is empty")
-    eye = np.eye(d, dtype=complex)
-    blocks = []
     for g in gens:
         if g.dim != d:
             raise ValueError(f"generator has dim {g.dim}, expected {d}")
-        blocks.append(np.kron(eye, g.mat) - np.kron(g.mat.T, eye))
-    stacked = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(stacked)
-    smax = float(svals[0]) if svals.size else 0.0
+    d2 = d * d
+    diag = np.arange(d)
+    # Block k is I ⊗ G_k - G_kᵀ ⊗ I, the map vec(X) -> vec([G_k, X]) for
+    # column stacking, written in place: as a (d, d, d, d) view its entry
+    # [a, i, b, j] is δ_ab G[i, j] - δ_ij G[b, a]. Fortran order lets the QR
+    # overwrite the stack instead of copying it.
+    stacked = np.zeros((len(gens) * d2, d2), dtype=complex, order="F")
+    for k, g in enumerate(gens):
+        block = stacked[k * d2 : (k + 1) * d2].reshape(d, d, d, d)
+        block[diag, :, diag, :] = g.mat
+        block[:, diag, :, diag] -= g.mat.T
+    # raw mode returns ((qr, tau), triu(qr[:d²])); the stack, now holding
+    # the Householder vectors, is freed before the SVD
+    r = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True, check_finite=False)[1]
+    del stacked
+    _, svals, vh = np.linalg.svd(r)
+    smax = float(svals[0])
     if smax == 0.0:
         # all generators are multiples of the identity
-        mask = np.ones(d * d, dtype=bool)
+        mask = np.ones(d2, dtype=bool)
     else:
         mask = svals < tol * smax
-        if len(mask) < d * d:
-            mask = np.concatenate([mask, np.ones(d * d - len(mask), dtype=bool)])
     # the kron identities hold for column stacking, so unvec is F-order
     members = [
         Operator(vh[i].conj().reshape(d, d, order="F"))

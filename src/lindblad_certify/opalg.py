@@ -381,7 +381,8 @@ class HSBasis:
             if self._n > n0:
                 fresh = self._buf[n0 : self._n]
                 for _ in range(2):
-                    r = r - (fresh.conj() @ r) @ fresh
+                    # conj(fresh @ conj(r)) = fresh.conj() @ r without copying fresh
+                    r = r - (fresh @ r.conj()).conj() @ fresh
             resid = float(np.linalg.norm(r))
             ratio = resid / (1.0 + norms0[j])
             ratios[j] = ratio

@@ -26,6 +26,7 @@ import pytest
 import scipy.linalg
 
 import lindblad_certify
+from lindblad_certify import ness
 from lindblad_certify.cli import run
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -68,6 +69,11 @@ XYZ3 = [
     "-p", "N=3", "-p", "Jx=1", "-p", "Jy=0.5", "-p", "Jz=0.3", "-p", "hz=0.7",
 ]
 TWO_LEVEL = ["--builtin", "two_level_gain_loss", "-p", "gamma_g=1", "-p", "gamma_l=2"]
+# a tight-binding chain whose kernel is degenerate (dimension 4)
+TIGHT_BINDING_DEGENERATE = [
+    "--builtin", "tight_binding_dephasing",
+    "-p", "N=3", "-p", "t=0.499", "-p", "delta=0.227", "-p", "gamma=1.279",
+]
 
 
 def regenerate_fixtures():
@@ -144,6 +150,16 @@ class TestExitCodes:
         # exit status reflects whether the analysis ran, not which way it went
         assert run(["check"] + XYZ3) == 0
         assert "not_certified" in capsys.readouterr().out
+
+    def test_out_of_memory_is_five(self, monkeypatch, capsys):
+        def exhausted(report, spec):
+            raise MemoryError("Unable to allocate 45.0 GiB")
+
+        monkeypatch.setattr(ness, "_commutant_stage", exhausted)
+        assert run(["full"] + TWO_LEVEL) == 5
+        err = capsys.readouterr().err
+        assert "error: out of memory: [commutant] Unable to allocate 45.0 GiB" in err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -266,6 +282,23 @@ class TestDeterminism:
         code = run(FIXTURES[name] + ["--json", "--out", str(tmp_path / name)])
         assert code == 0
         assert_matches_fixture(name, tmp_path / name)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(argv, id=name.removesuffix("_full.json"))
+            for name, argv in sorted(FIXTURES.items())
+            if name.endswith("_full.json")
+        ]
+        + [pytest.param(["full"] + TIGHT_BINDING_DEGENERATE, id="tight_binding_degenerate")],
+    )
+    def test_full_text_is_the_same_under_gesvd(self, argv, monkeypatch, capsys):
+        # the text shows the report's resolved values, not raw roundoff
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        monkeypatch.setattr(np.linalg, "svd", gesvd)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixtures_match_the_schema(self, name):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,86 @@ class TestCommutant:
             commutant([], 2)
         with pytest.raises(ValueError, match="dim"):
             commutant([SZ], 4)
+
+
+def dense_commutant_projector(gens, d, tol=1e-9):
+    """Projector onto the commutant, from a full SVD of the kron-built stack.
+
+    The reference for ``commutant``: the same cutoff on the same stacked
+    system, without the in-place fill or the QR. Acts on vec(X) in column
+    stacking.
+    """
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(eye, g.mat) - np.kron(g.mat.T, eye) for g in gens])
+    _, svals, vh = np.linalg.svd(stacked)
+    keep = np.ones(d * d, dtype=bool) if svals[0] == 0 else svals < tol * svals[0]
+    null = vh[keep].conj().T
+    return null @ null.conj().T
+
+
+def planted_generators(rng, blocks, count):
+    """``count`` random operators, block diagonal in one random unitary basis.
+
+    Generic blocks are irreducible and pairwise inequivalent, so the
+    commutant is one scalar per block: its dimension is ``len(blocks)``.
+    """
+    d = sum(blocks)
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    gens = []
+    for _ in range(count):
+        mat = np.zeros((d, d), dtype=complex)
+        start = 0
+        for size in blocks:
+            mat[start : start + size, start : start + size] = rng.normal(
+                size=(size, size)
+            ) + 1j * rng.normal(size=(size, size))
+            start += size
+        gens.append(Operator(unitary @ mat @ unitary.conj().T))
+    return gens
+
+
+class TestCommutantAgainstDenseSvd:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "blocks, expected_dim", [((6,), 1), ((2, 4), 2), ((1, 1, 2, 2), 4)]
+    )
+    def test_planted_blocks(self, blocks, expected_dim, seed):
+        gens = planted_generators(np.random.default_rng(seed), blocks, count=3)
+        self.assert_matches_reference(gens, 6, expected_dim)
+
+    def test_identity_only_generators(self):
+        gens = [Operator.identity(3), Operator(2.5 * np.eye(3))]
+        self.assert_matches_reference(gens, 3, 9)
+
+    def test_single_generator(self):
+        # a generic matrix commutes only with its polynomials: dimension d
+        gens = planted_generators(np.random.default_rng(7), (5,), count=1)
+        self.assert_matches_reference(gens, 5, 5)
+
+    @staticmethod
+    def assert_matches_reference(gens, d, expected_dim):
+        res = commutant(gens, d)
+        reference = dense_commutant_projector(gens, d)
+        assert res.commutant_dim == expected_dim
+        assert round(np.trace(reference).real) == expected_dim
+        vecs = np.array([m.mat.ravel(order="F") for m in res.basis.vectors]).T
+        assert np.abs(vecs @ vecs.conj().T - reference).max() <= 1e-10
+
+    def test_peak_memory_stays_within_twice_the_stack(self):
+        # the stacked system for {H, L_m, L_m†} of xyz N=4 is 2304 x 256
+        # complex entries (9 MiB); a U factor of it (2304², 81 MiB) or a
+        # second copy of the stack would break the bound
+        ham, jumps = xyz_bulk_dephasing(4, 1.0, 0.5, 0.3, 0.7, 1.0).operators()
+        gens = [ham] + jumps + [j.dag() for j in jumps]
+        stack_bytes = len(gens) * 16**4 * 16
+        tracemalloc.start()
+        try:
+            res = commutant(gens, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.commutant_dim == 2
+        assert peak <= 2 * stack_bytes
 
 
 class TestRestrictedClosure:
