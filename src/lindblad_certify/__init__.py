@@ -27,7 +27,6 @@ from .liouvillian import (
     apply,
     assemble,
     spectrum,
-    kernel,
     kernel_and_values,
 )
 from .symmetry import (
@@ -92,7 +91,6 @@ __all__ = [
     "apply",
     "assemble",
     "spectrum",
-    "kernel",
     "kernel_and_values",
     # symmetry sectors
     "SymmetryCheck",

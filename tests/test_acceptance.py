@@ -21,7 +21,7 @@ from lindblad_certify.closure import (
     certify_uniqueness,
     commutant,
 )
-from lindblad_certify.liouvillian import apply, assemble, kernel, spectrum
+from lindblad_certify.liouvillian import apply, assemble, kernel_and_values, spectrum
 from lindblad_certify.modelspec import (
     MINUS,
     PLUS,
@@ -145,8 +145,8 @@ def test_dephased_hopping_chain_sectors(criterion):
                 assert sector.distance_to_mixed <= 1e-8
 
             flat = tight_binding_dephasing(n, 1.0, delta=0.0, gamma=0.8)
-            W_offset = kernel(assemble(spec))
-            W_flat = kernel(assemble(flat))
+            W_offset = kernel_and_values(assemble(spec))[0]
+            W_flat = kernel_and_values(assemble(flat))[0]
             assert W_offset.shape[1] == W_flat.shape[1]
             # largest principal angle between the two kernel subspaces, via its sine
             residual = W_offset - W_flat @ (W_flat.conj().T @ W_offset)

@@ -8,10 +8,14 @@ benchmark files are imported, never changed.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lindblad_certify
 import lindblad_certify.cli  # noqa: F401  (the benchmark's full_mixed entry point)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,3 +47,16 @@ def test_every_imported_binding_is_patched(bench):
     missing = [site for site in selftest.FROM_IMPORTED if site not in sites]
     assert not missing
 
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # scipy.sparse (and csgraph with it) adds ~20 ms to every start-up,
+    # which the benchmark times as setup_s
+    src = str(Path(lindblad_certify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lindblad_certify.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -17,7 +17,7 @@ from lindblad_certify.closure import (
     effective_hamiltonian,
     restricted_closure,
 )
-from lindblad_certify.liouvillian import assemble, kernel
+from lindblad_certify.liouvillian import assemble, kernel_and_values
 from lindblad_certify.modelspec import (
     MINUS,
     PLUS,
@@ -147,7 +147,7 @@ class TestCertifier:
         # generator is diag(0, -2, -2, 0), whose kernel is the diagonals
         lm = assemble(spec)
         assert np.allclose(lm.matrix, np.diag([0.0, -2.0, -2.0, 0.0]))
-        ker = kernel(lm)
+        ker = kernel_and_values(lm)[0]
         assert ker.shape[1] == 2
 
     def test_xyz_ring_saturates_at_the_sector_bound(self):

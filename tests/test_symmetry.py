@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lindblad_certify.liouvillian import assemble_matrices, kernel
+from lindblad_certify.liouvillian import apply_matrices, assemble_matrices, kernel_and_values
 from lindblad_certify.modelspec import (
+    ModelSpec,
     tfim_boundary_dephasing,
     tight_binding_dephasing,
     xyz_bulk_dephasing,
 )
-from lindblad_certify.opalg import Operator
+from lindblad_certify.opalg import Operator, PauliTerm
 from lindblad_certify.symmetry import (
     BlockCheck,
     SectorDecomposition,
@@ -24,6 +25,27 @@ from lindblad_certify.symmetry import (
 
 def xyz3():
     return xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0)
+
+
+def loop_max_leak(spec, sectors, trials, seed):
+    """The invariant-block leak measured one trial and one block at a time."""
+    rng = np.random.default_rng(seed)
+    ham, jumps = spec.operators()
+    isos = sectors.isometries
+    max_leak = 0.0
+    for a, iso_a in enumerate(isos):
+        for b, iso_b in enumerate(isos):
+            for _ in range(trials):
+                da, db = iso_a.shape[1], iso_b.shape[1]
+                x = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
+                x /= np.linalg.norm(x)
+                out = apply_matrices(ham.mat, [j.mat for j in jumps], iso_a @ x @ iso_b.conj().T)
+                for ap, iso_ap in enumerate(isos):
+                    for bp, iso_bp in enumerate(isos):
+                        if (ap, bp) != (a, b):
+                            leak = np.linalg.norm(iso_ap.conj().T @ out @ iso_bp)
+                            max_leak = max(max_leak, float(leak))
+    return max_leak
 
 
 class TestConstructors:
@@ -209,6 +231,27 @@ class TestInvariantBlocks:
         result = verify_invariant_blocks(spec, sectors, trials=10, seed=1)
         assert result.status == "passed"
 
+    @pytest.mark.parametrize(
+        "spec,s_op",
+        [
+            (tight_binding_dephasing(3, 1.0, 0.3, 0.8), u1_number_operator(3)),
+            # parity broken by 1e-9 X_1: the commutators pass the 1e-8
+            # check, the blocks leak at about 1e-9
+            (
+                ModelSpec(3, xyz3().hamiltonian_terms + [PauliTerm(1e-9, [(1, "X")])],
+                          xyz3().lindblad_ops),
+                parity_z_operator(3),
+            ),
+        ],
+        ids=["tight_binding_n3", "broken_parity"],
+    )
+    def test_batched_trials_match_the_loop(self, spec, s_op):
+        sectors = sector_decompose(s_op)
+        expected = loop_max_leak(spec, sectors, trials=7, seed=3)
+        result = verify_invariant_blocks(spec, sectors, trials=7, seed=3)
+        assert result.status == ("passed" if expected <= 1e-10 else "failed")
+        assert abs(result.max_leak - expected) <= 1e-14
+
     def test_skipped_when_symmetry_absent(self):
         spec = tfim_boundary_dephasing(3, 1.0, 0.5)
         sectors = sector_decompose(parity_z_operator(3))
@@ -230,4 +273,4 @@ class TestInvariantBlocks:
                 h_block = restrict(ham, iso, unitary=s_op).mat
                 l_blocks = [restrict(j, iso, unitary=s_op).mat for j in jumps]
                 lm = assemble_matrices(h_block, l_blocks)
-                assert kernel(lm, 1e-9).shape[1] >= 1
+                assert kernel_and_values(lm, 1e-9)[0].shape[1] >= 1
