@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import sys
@@ -432,7 +433,13 @@ def _parse_param(raw: str):
         return key, value  # strings like bond lists stay verbatim
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state in the parser: the append action of ``-p``
+    copies its default list before adding to it, so runs share nothing.
+    """
     common = argparse.ArgumentParser(add_help=False)
     source = common.add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", metavar="NAME", help="builtin model name")

@@ -18,6 +18,7 @@ changes the generated algebra without touching the dynamics).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ NOT_CERTIFIED = "not_certified"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_TOL = 1e-9
+
+# the closure forms its products this many rows at a time, and hands each
+# block to HSBasis.extend_block before it forms the next
+CHUNK = 64
 
 
 @dataclass
@@ -72,6 +77,13 @@ def algebra_closure(
     (generator-major, then basis-index, left product before right). Stops at
     saturation, at the full dimension d², or at max_basis; only the last of
     these leaves ``saturated`` False.
+
+    A round's products are streamed: they are formed CHUNK at a time, in
+    that order, and each block goes to HSBasis.extend_block before the next
+    is formed, so memory holds one block rather than the whole round. A
+    product is projected against every row accepted before it, in earlier
+    blocks of the same round too, exactly as if the round were one block.
+    The round stops as soon as the basis reaches the cap.
     """
     gens = list(generators)
     if not gens:
@@ -103,28 +115,30 @@ def algebra_closure(
                     max_rejected = float(ratio)
 
     seed_block = np.array([g.mat.ravel() for g in gens])
-    accepted, ratios, truncated = basis.extend_block(seed_block, tol, max_rows=cap)
+    accepted, ratios, _ = basis.extend_block(seed_block, tol, max_rows=cap)
     record(set(accepted), ratios)
     gen_mats = [g.mat for g in gens]
     frontier = list(range(len(basis)))
     rounds = 0
 
-    while frontier and len(basis) < cap and not truncated:
+    while frontier and len(basis) < cap:
         rounds += 1
-        cands = np.empty((2 * len(gen_mats) * len(frontier), full), dtype=complex)
-        row = 0
-        for gmat in gen_mats:
-            for idx in frontier:
-                bmat = basis.matrix_at(idx)
-                cands[row] = (gmat @ bmat).ravel()
-                cands[row + 1] = (bmat @ gmat).ravel()
-                row += 2
         before = len(basis)
-        accepted, ratios, truncated = basis.extend_block(cands, tol, max_rows=cap)
-        record(set(accepted), ratios)
+        pairs = _factor_pairs(gen_mats, basis, frontier)
+        block = np.empty((min(CHUNK, 2 * len(gen_mats) * len(frontier)), full), dtype=complex)
+        while len(basis) < cap:
+            rows = 0
+            for left, right in itertools.islice(pairs, len(block)):
+                np.matmul(left, right, out=block[rows].reshape(d, d))
+                rows += 1
+            if not rows:
+                break
+            accepted, ratios, _ = basis.extend_block(block[:rows], tol, max_rows=cap)
+            record(set(accepted), ratios)
         frontier = list(range(before, len(basis)))
 
-    saturated = len(basis) == full or (not frontier and not truncated)
+    # a basis that reached a cap below d² is a lower bound, not saturation
+    saturated = len(basis) == full or (not frontier and len(basis) < cap)
     return ClosureResult(
         generated_dim=len(basis),
         full_dim_target=full,
@@ -135,6 +149,15 @@ def algebra_closure(
         min_accepted_ratio=min_accepted,
         max_rejected_ratio=max_rejected,
     )
+
+
+def _factor_pairs(gen_mats, basis: HSBasis, frontier):
+    """A round's products as (left, right) factors, in closure order."""
+    for gmat in gen_mats:
+        for idx in frontier:
+            bmat = basis.matrix_at(idx)
+            yield gmat, bmat
+            yield bmat, gmat
 
 
 def effective_hamiltonian(spec: ModelSpec, adjoint: bool = False) -> Operator:

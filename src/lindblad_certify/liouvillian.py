@@ -38,12 +38,21 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def apply_matrices(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
-    """Generator action from raw matrices; the workhorse behind apply()."""
-    out = -1j * (ham @ rho - rho @ ham)
+    """Generator action from raw matrices; the workhorse behind apply().
+
+    Written as -i(K rho - rho K†) + sum_m L_m rho L_m† with the effective
+    Hamiltonian K = H - (i/2) sum_m L_m† L_m, so each jump costs two
+    products with rho. ``rho`` may be a stack of matrices.
+    """
+    k = ham.astype(complex)
+    out = np.zeros(np.shape(rho), dtype=complex)
     for jump in jumps:
         jdag = jump.conj().T
-        jdj = jdag @ jump
-        out += jump @ rho @ jdag - 0.5 * (jdj @ rho + rho @ jdj)
+        k -= 0.5j * (jdag @ jump)
+        out += jump @ rho @ jdag
+    # the jump terms are summed first: for rho = 1 on a one-dimensional
+    # space they then cancel the anticommutator exactly
+    out -= 1j * (k @ rho - rho @ k.conj().T)
     return out
 
 
@@ -64,14 +73,29 @@ class LiouvillianMatrix:
 
 
 def assemble_matrices(ham: np.ndarray, jumps) -> LiouvillianMatrix:
+    """The generator matrix, written in place without Kronecker products.
+
+    As a (d, d, d, d) view, entry [a, i, b, j] is row a d + i and column
+    b d + j, so I ⊗ X fills the blocks a = b with X[i, j], Xᵀ ⊗ I the
+    positions i = j with X[b, a], and L̄ ⊗ L is the broadcast product
+    L̄[a, b] L[i, j], added one row a at a time. The terms are added in
+    the order of the formula, so every entry is the value the Kronecker
+    products would give.
+    """
     d = ham.shape[0]
-    eye = np.eye(d, dtype=complex)
-    mat = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
+    diag = np.arange(d)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    view = mat.reshape(d, d, d, d)
+    view[diag, :, diag, :] = ham
+    view[:, diag, :, diag] -= ham.T
+    mat *= -1j
     for jump in jumps:
         jdj = jump.conj().T @ jump
-        mat += np.kron(jump.conj(), jump)
-        mat -= 0.5 * np.kron(eye, jdj)
-        mat -= 0.5 * np.kron(jdj.T, eye)
+        for a, row in enumerate(jump.conj()):
+            # one d³ slab at a time, so no d⁴ temporary is made
+            view[a] += row[None, :, None] * jump[:, None, :]
+        view[diag, :, diag, :] -= 0.5 * jdj
+        view[:, diag, :, diag] -= 0.5 * jdj.T
     return LiouvillianMatrix(d=d, matrix=mat)
 
 

@@ -27,7 +27,7 @@ import scipy.linalg
 
 import lindblad_certify
 from lindblad_certify import ness
-from lindblad_certify.cli import run
+from lindblad_certify.cli import build_parser, run
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -265,6 +265,19 @@ class TestDeterminism:
             _, doc = run_json(["full"] + XYZ3 + ["--seed", "3"], capsys)
             docs.append(strip_timings(doc))
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+    def test_runs_in_one_process_share_no_parameters(self, capsys):
+        # the parser is built once per process; -p appends must not carry over
+        assert build_parser() is build_parser()
+        assert run(["check"] + XYZ3) == 0
+        capsys.readouterr()
+        # an N=3 left over from the first run would be rejected here
+        code, doc = run_json(["check"] + TWO_LEVEL, capsys)
+        assert code == 0
+        assert doc["model"]["metadata"]["params"]["gamma_g"] == 1
+        # and gamma_g, gamma_l left over would make this one succeed
+        assert run(["check", "--builtin", "two_level_gain_loss"]) == 2
+        assert "missing 2 required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixture_regression(self, name, tmp_path, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lindblad_certify import closure
 from lindblad_certify.closure import (
     CERTIFIED_UNIQUE,
     INCONCLUSIVE,
@@ -30,7 +31,7 @@ from lindblad_certify.modelspec import (
     two_level_gain_loss,
     xyz_bulk_dephasing,
 )
-from lindblad_certify.opalg import SINGLE_SITE, Operator
+from lindblad_certify.opalg import SINGLE_SITE, HSBasis, Operator
 from lindblad_certify.symmetry import (
     parity_z_operator,
     sector_decompose,
@@ -48,6 +49,23 @@ def dephasing_qubit():
 
 def xyz3():
     return xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0)
+
+
+def tfim4():
+    return tfim_boundary_dephasing(4, 1.0, 0.5)
+
+
+def xyz4():
+    return xyz_bulk_dephasing(4, 1.0, 0.5, 0.3, 0.7, 1.0)
+
+
+def parity_witness():
+    """An N=4 xyz chain that a closure with a drifting basis certified.
+
+    Parity is a strong symmetry, so the algebra lies in the two sectors:
+    4 sites, sectors of 8, at most 8² + 8² = 128 dimensions.
+    """
+    return xyz_bulk_dephasing(4, -0.77, 0.282, -0.177, 0.009, 0.656)
 
 
 class TestAlgebraClosure:
@@ -358,3 +376,61 @@ class TestInvariants:
             full = algebra_closure(gens, d).is_full
             trivial = commutant(gens, d).commutant_dim == 1
             assert full == trivial
+
+
+class TestStreamedClosure:
+    @pytest.mark.parametrize("build", [tfim4, parity_witness], ids=["tfim4", "witness"])
+    def test_basis_stays_orthonormal(self, build):
+        res = certify_uniqueness(build()).closure
+        gram = res.basis.gram()
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12
+
+    def test_witness_stops_at_the_parity_sector_bound(self):
+        cert = certify_uniqueness(parity_witness())
+        assert cert.verdict == NOT_CERTIFIED
+        assert cert.closure.generated_dim == 128
+        assert cert.closure.saturated
+
+    @pytest.mark.parametrize("build", [tfim4, xyz4], ids=["tfim4", "xyz4"])
+    def test_block_size_does_not_change_the_answer(self, build, monkeypatch):
+        spec = build()
+        answers = []
+        for chunk in (16, closure.CHUNK, 10**6):
+            monkeypatch.setattr(closure, "CHUNK", chunk)
+            cert = certify_uniqueness(spec)
+            answers.append((cert.verdict, cert.closure.generated_dim, cert.closure.rounds))
+        assert answers[0] == answers[1] == answers[2]
+
+    def test_products_arrive_in_blocks_of_at_most_chunk_rows(self, monkeypatch):
+        sizes = []
+        original = HSBasis.extend_block
+
+        def spy(self, cands, tol, max_rows=None):
+            sizes.append(len(cands))
+            return original(self, cands, tol, max_rows)
+
+        monkeypatch.setattr(HSBasis, "extend_block", spy)
+        gens = certifier_generators(tfim4())
+        res = algebra_closure(gens, 16)
+        assert res.is_full
+        # the first block is the generators; every later one is products
+        assert sizes[0] == len(gens)
+        assert max(sizes[1:]) == closure.CHUNK
+        assert len(sizes) > res.rounds + 1
+
+    def test_cap_reached_mid_round_stops_the_round(self, monkeypatch):
+        sizes_after = []
+        original = HSBasis.extend_block
+
+        def spy(self, cands, tol, max_rows=None):
+            result = original(self, cands, tol, max_rows)
+            sizes_after.append(len(self))
+            return result
+
+        monkeypatch.setattr(HSBasis, "extend_block", spy)
+        res = algebra_closure(certifier_generators(xyz4()), 16, max_basis=40)
+        assert res.generated_dim == 40
+        assert not res.saturated
+        # no block is formed once the basis is at the cap
+        assert sizes_after[-1] == 40
+        assert max(sizes_after[:-1]) < 40

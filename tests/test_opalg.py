@@ -251,7 +251,7 @@ class TestHSBasis:
             orthonormalize_extend(basis, random_operator(rng, d), 1e-9)
         assert len(basis) == d * d
         gram = basis.gram()
-        assert np.linalg.norm(gram - np.eye(d * d)) < 1e-8  # 10x the extend tol
+        assert np.linalg.norm(gram - np.eye(d * d)) < 1e-12
 
     def test_zero_candidate_rejected(self):
         basis = HSBasis(2)
