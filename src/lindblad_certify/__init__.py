@@ -9,7 +9,6 @@ from .opalg import (
     hs_inner,
     pauli_to_operator,
     jordan_wigner,
-    orthonormalize_extend,
 )
 from .modelspec import (
     ModelSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "hs_inner",
     "pauli_to_operator",
     "jordan_wigner",
-    "orthonormalize_extend",
     # model descriptions
     "ModelSpec",
     "ModelParseError",

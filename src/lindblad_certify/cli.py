@@ -362,15 +362,11 @@ class Command(NamedTuple):
     lines: Callable
 
 
-def _certificate(spec, cfg):
-    return _run_stages(spec, {"closure"}, cfg.tol, cfg.max_basis)
-
-
-# in the order `--help` lists them; check and closure are one analysis
+# in the order `--help` lists them
 COMMANDS = {
     "check": Command(
         "decide the uniqueness certificate (closure verdict only)",
-        _certificate,
+        lambda spec, cfg: _run_stages(spec, {"closure"}, cfg.tol, cfg.max_basis),
         _ness_report("generation_verdict", "closure"),
         _verdict_lines,
     ),
@@ -385,12 +381,6 @@ COMMANDS = {
         _sectors,
         _sectors_report,
         _sectors_lines,
-    ),
-    "closure": Command(
-        "operator-algebra closure with full diagnostics",
-        _certificate,
-        _ness_report("generation_verdict", "closure"),
-        _verdict_lines,
     ),
     "commutant": Command(
         "commutant of {H, L, L†} (uniqueness cross-check)",
@@ -452,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="builtin parameter, repeatable",
     )
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance, 0 < tol < 1")
     common.add_argument(
         "--max-basis", type=int, default=None, help="cap on the closure basis size"
     )
@@ -486,8 +476,9 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < 1:
+        # every closure ratio is below 1, so no tol >= 1 accepts anything
+        print("error: --tol must lie strictly between 0 and 1", file=sys.stderr)
         return 2
 
     try:

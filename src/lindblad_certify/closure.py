@@ -160,27 +160,19 @@ def _factor_pairs(gen_mats, basis: HSBasis, frontier):
             yield bmat, gmat
 
 
-def effective_hamiltonian(spec: ModelSpec, adjoint: bool = False) -> Operator:
-    """K = H - (i/2) sum_m L_m† L_m, or its adjoint H + (i/2) sum L_m† L_m."""
+def effective_hamiltonian(spec: ModelSpec) -> Operator:
+    """K = H - (i/2) sum_m L_m† L_m."""
     ham, jumps = spec.operators()
     total = np.zeros((spec.dim, spec.dim), dtype=complex)
     for jump in jumps:
         total += jump.mat.conj().T @ jump.mat
-    sign = +0.5j if adjoint else -0.5j
-    return Operator(ham.mat + sign * total)
+    return Operator(ham.mat - 0.5j * total)
 
 
-def certifier_generators(spec: ModelSpec, adjoint: bool = False):
-    """The generator set the certificate closes over: {K, L_1, ..., L_M}.
-
-    With ``adjoint`` True, returns the mirror set {H + (i/2) sum L†L,
-    L_1†, ..., L_M†} used by the kernel-invariance diagnostic; it is not
-    the default certifier input.
-    """
+def certifier_generators(spec: ModelSpec):
+    """The generator set the certificate closes over: {K, L_1, ..., L_M}."""
     _, jumps = spec.operators()
-    first = effective_hamiltonian(spec, adjoint=adjoint)
-    rest = [j.dag() for j in jumps] if adjoint else list(jumps)
-    return [first] + rest
+    return [effective_hamiltonian(spec)] + list(jumps)
 
 
 @dataclass

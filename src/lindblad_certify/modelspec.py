@@ -96,10 +96,6 @@ class ModelSpec:
     def dim(self) -> int:
         return 2**self.n_sites
 
-    @property
-    def lindblad_labels(self):
-        return [label for label, _ in self.lindblad_ops]
-
     def operators(self):
         """(H, [L_1, ..., L_M]) as dense Operators, built once and cached."""
         if self._built is None:
@@ -259,51 +255,6 @@ def load_model(path) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # Lattices
 
-@dataclass
-class LatticeSpec:
-    """An interaction graph: sites, unordered bonds, per-bond couplings."""
-
-    sites: list
-    bonds: list
-    couplings: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        known = set(self.sites)
-        if not known:
-            raise ModelValidationError("lattice needs at least one site")
-        norm = []
-        for a, b in self.bonds:
-            if a == b:
-                raise ModelValidationError(f"bond ({a}, {b}) is a self-loop")
-            if a not in known or b not in known:
-                raise ModelValidationError(f"bond ({a}, {b}) references an undeclared site")
-            norm.append((min(a, b), max(a, b)))
-        self.bonds = norm
-
-    def neighbors(self, site):
-        out = []
-        for a, b in self.bonds:
-            if a == site:
-                out.append(b)
-            elif b == site:
-                out.append(a)
-        return out
-
-
-def lattice_connected(lat: LatticeSpec) -> bool:
-    """True iff every pair of sites is joined by a bond path."""
-    sites = list(lat.sites)
-    seen = {sites[0]}
-    queue = [sites[0]]
-    while queue:
-        cur = queue.pop()
-        for nxt in lat.neighbors(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(sites)
-
-
 def parse_bonds(bonds, n_sites: int):
     """Accept '1-2;2-3' strings or iterables of pairs; normalize to (lo, hi)."""
     if isinstance(bonds, str):
@@ -327,6 +278,24 @@ def parse_bonds(bonds, n_sites: int):
         if a == b:
             raise ModelValidationError(f"bond ({a}, {b}) is a self-loop")
     return [(min(a, b), max(a, b)) for a, b in pairs]
+
+
+def _warn_if_disconnected(n, bonds):
+    """Warn unless ``bonds`` join sites 1..n into one graph."""
+    reached, grew = {1}, True
+    while grew:
+        grew = False
+        for a, b in bonds:
+            if (a in reached) != (b in reached):
+                reached.update((a, b))
+                grew = True
+    if len(reached) < n:
+        warnings.warn(
+            "bond graph is disconnected; per-sector closure cannot reach "
+            "full dimension",
+            UserWarning,
+            stacklevel=3,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +428,20 @@ def xyz_bulk_dephasing(N, Jx, Jy, Jz=0.0, hz=0.0, gamma=1.0) -> ModelSpec:
 
     Site N+1 means site 1; the sum is taken literally, so N = 2 counts its
     single geometric bond twice. Spin-flip parity prod_j Z_j is declared.
+    The model is ``xyz_lattice`` on the ring bonds (j, j % N + 1).
     """
     n = int(N)
     if n < 2:
         raise ModelValidationError(f"N must be at least 2, got {N}")
     g = _require_positive(gamma, "gamma")
+    jx, jy, jz = float(Jx), float(Jy), float(Jz)
     ring = [(j, j % n + 1) for j in range(1, n + 1)]
-    norm = [(min(b), max(b)) for b in ring]
-    jx = {b: float(Jx) for b in norm}
-    jy = {b: float(Jy) for b in norm}
-    jz = {b: float(Jz) for b in norm}
-    _warn_equal_xy(jx, jy, norm)
-    hz_map = _per_site(hz, range(1, n + 1), "hz")
-    terms = _xyz_terms(n, norm, jx, jy, jz, hz_map)
-    jumps = _dephasing_jumps(range(1, n + 1), _per_site(g, range(1, n + 1), "gamma"))
-    meta = {
+    spec = xyz_lattice(n, ring, jx, jy, jz, hz, g)
+    spec.metadata = {
         "builtin": "xyz_bulk_dephasing",
-        "params": {
-            "N": n, "Jx": float(Jx), "Jy": float(Jy), "Jz": float(Jz),
-            "hz": float(hz), "gamma": g,
-        },
+        "params": {"N": n, "Jx": jx, "Jy": jy, "Jz": jz, "hz": float(hz), "gamma": g},
     }
-    return ModelSpec(n, terms, jumps, declared_symmetries=["parity_z"], metadata=meta)
+    return spec
 
 
 def compass_dephasing(N, Jx, Jy, gamma=1.0) -> ModelSpec:
@@ -545,38 +506,21 @@ def tight_binding_dephasing(N, t, delta=0.3, gamma=1.0) -> ModelSpec:
     L_j = sqrt(gamma) n_j, expressed in spin language through Jordan-Wigner.
     delta shifts H by a multiple of the identity: the Liouvillian does not
     change, but the generated algebra does, which is why delta is recorded
-    explicitly. The total-number phase e^{i N_tot} is declared.
+    explicitly. The total-number phase e^{i N_tot} is declared. The model
+    is ``tight_binding_lattice`` on the ring bonds (j, j % N + 1).
     """
     n = int(N)
     if n < 2:
         raise ModelValidationError(f"N must be at least 2, got {N}")
     g = _require_positive(gamma, "gamma")
     tt = float(t)
-    if tt == 0:
-        warnings.warn(
-            "t = 0 removes every hopping bond; the chain is disconnected",
-            UserWarning,
-            stacklevel=2,
-        )
-    terms = []
-    for j in range(1, n + 1):
-        k = j % n + 1
-        if tt != 0:
-            terms.extend(_hopping_terms((min(j, k), max(j, k)), tt))
-    dd = float(delta)
-    if dd != 0:
-        terms.append(PauliTerm(dd))
-    jumps = [(f"L_{j}", _number_jump(j, g)) for j in range(1, n + 1)]
-    meta = {
+    ring = [(j, j % n + 1) for j in range(1, n + 1)]
+    spec = tight_binding_lattice(n, ring, tt, delta, g)
+    spec.metadata = {
         "builtin": "tight_binding_dephasing",
-        "params": {"N": n, "t": tt, "delta": dd, "gamma": g},
+        "params": {"N": n, "t": tt, "delta": float(delta), "gamma": g},
     }
-    return ModelSpec(
-        n, terms, jumps,
-        particle_kind="fermion",
-        declared_symmetries=["u1_number"],
-        metadata=meta,
-    )
+    return spec
 
 
 def xyz_lattice(N, bonds, Jx, Jy, Jz=0.0, hz=0.0, gamma=1.0) -> ModelSpec:
@@ -591,18 +535,11 @@ def xyz_lattice(N, bonds, Jx, Jy, Jz=0.0, hz=0.0, gamma=1.0) -> ModelSpec:
     if n < 1:
         raise ModelValidationError(f"N must be at least 1, got {N}")
     bond_list = parse_bonds(bonds, n)
-    lat = LatticeSpec(sites=list(range(1, n + 1)), bonds=bond_list)
-    if not lattice_connected(lat):
-        warnings.warn(
-            "bond graph is disconnected; per-sector closure cannot reach "
-            "full dimension",
-            UserWarning,
-            stacklevel=2,
-        )
     jx = {b: float(v) for b, v in _per_bond(Jx, bond_list, "Jx").items()}
     jy = {b: float(v) for b, v in _per_bond(Jy, bond_list, "Jy").items()}
     jz = {b: float(v) for b, v in _per_bond(Jz, bond_list, "Jz").items()}
     _warn_equal_xy(jx, jy, bond_list)
+    _warn_if_disconnected(n, [b for b in bond_list if jx[b] or jy[b] or jz[b]])
     gamma_map = _per_site(gamma, range(1, n + 1), "gamma")
     for site, val in gamma_map.items():
         _require_positive(val, f"gamma[{site}]")
@@ -628,22 +565,16 @@ def tight_binding_lattice(N, bonds, t, delta=0.3, gamma=1.0) -> ModelSpec:
     if n < 1:
         raise ModelValidationError(f"N must be at least 1, got {N}")
     bond_list = parse_bonds(bonds, n)
-    lat = LatticeSpec(sites=list(range(1, n + 1)), bonds=bond_list)
-    if not lattice_connected(lat):
-        warnings.warn(
-            "bond graph is disconnected; per-sector closure cannot reach "
-            "full dimension",
-            UserWarning,
-            stacklevel=2,
-        )
     t_map = _per_bond(t, bond_list, "t")
-    terms = []
+    terms, hopped = [], []
     for bond in bond_list:
         amp = complex(t_map[bond])
         if amp == 0:
             warnings.warn(f"t = 0 on bond {bond}: bond dropped", UserWarning, stacklevel=2)
             continue
         terms.extend(_hopping_terms(bond, amp))
+        hopped.append(bond)
+    _warn_if_disconnected(n, hopped)
     dd = float(delta)
     if dd != 0:
         terms.append(PauliTerm(dd))

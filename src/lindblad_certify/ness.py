@@ -567,7 +567,7 @@ def kernel_invariance_diagnostic(
     if w.shape[1] == 0:
         return KernelInvarianceReport(0, {}, 0.0, True, tol)
     proj_out = np.eye(spec.dim, dtype=complex) - w @ w.conj().T
-    checks = [("K_adjoint", effective_hamiltonian(spec, adjoint=True).mat)]
+    checks = [("K_adjoint", effective_hamiltonian(spec).dag().mat)]
     checks += [
         (f"{label}_dag", op.mat.conj().T)
         for (label, _), op in zip(spec.lindblad_ops, jumps)

@@ -131,11 +131,6 @@ class Operator:
             return False
         return float(np.linalg.eigvalsh(self.mat)[0]) >= -tol
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part (A + A†)/2."""
-        herm = (self.mat + self.mat.conj().T) / 2
-        return float(np.linalg.eigvalsh(herm)[0])
-
     def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
         return float(np.linalg.norm(self.mat - other.mat)) <= tol
 
@@ -333,17 +328,6 @@ class HSBasis:
         self._buf[self._n] = row
         self._n += 1
 
-    def residual_norm(self, op: Operator) -> float:
-        """Norm of the component of ``op`` orthogonal to the current span."""
-        v = op.mat.ravel().astype(complex)
-        for _ in range(2):
-            if self._n:
-                v = v - (self.rows.conj() @ v) @ self.rows
-        return float(np.linalg.norm(v))
-
-    def contains(self, op: Operator, tol: float = 1e-9) -> bool:
-        return self.residual_norm(op) <= tol * (1.0 + op.hs_norm())
-
     def extend_block(self, cands: np.ndarray, tol: float, max_rows: int | None = None):
         """Orthonormalize candidate rows against the basis, appending survivors.
 
@@ -413,19 +397,3 @@ class HSBasis:
                 self._append(r / resid)
                 accepted.append(j)
         return accepted, ratios, truncated
-
-
-def orthonormalize_extend(basis: HSBasis, candidate: Operator, tol: float = 1e-9) -> bool:
-    """Try to grow ``basis`` by one operator; report whether it was new.
-
-    The candidate is projected onto the orthogonal complement of the span
-    (two passes) and kept only when the residual exceeds
-    tol * (1 + ||candidate||), which makes the decision level with respect
-    to the candidate's scale without letting pure roundoff in.
-    """
-    if candidate.dim != basis.dim_space:
-        raise ValueError(
-            f"candidate dim {candidate.dim} does not match basis dim {basis.dim_space}"
-        )
-    accepted, _, _ = basis.extend_block(candidate.mat.reshape(1, -1), tol)
-    return bool(accepted)

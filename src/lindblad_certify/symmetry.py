@@ -88,10 +88,6 @@ class SectorDecomposition:
     def dims(self):
         return [iso.shape[1] for iso in self.isometries]
 
-    @property
-    def dim_total(self) -> int:
-        return self.unitary.dim
-
 
 def sector_decompose(S: Operator, tol: float = DEFAULT_CLUSTER_TOL) -> SectorDecomposition:
     """Cluster the unitary spectrum of S and return eigenspace isometries.

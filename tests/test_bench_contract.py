@@ -4,13 +4,18 @@ perfbench/spans.py wraps layer functions by dotted name, and
 perfbench/selftest.py expects some of them to be bound in the modules that
 import them by name. A rename or a dropped import breaks a benchmark run
 or the three-minute self-test; these checks catch it in a second. The
-benchmark files are imported, never changed.
+benchmark files are imported, never changed. The public surface (the
+package exports, the CLI commands and the report schema's command names)
+is checked here too, so a deletion that leaves a stale name fails fast.
 """
 
+import argparse
 import importlib
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,29 @@ def test_every_imported_binding_is_patched(bench):
         tracer.uninstall()
     missing = [site for site in selftest.FROM_IMPORTED if site not in sites]
     assert not missing
+
+
+def test_public_surface_resolves(bench):
+    for name in lindblad_certify.__all__:
+        assert hasattr(lindblad_certify, name), name
+    parser = lindblad_certify.cli.build_parser()
+    subcommands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    schema = json.loads(
+        resources.files("lindblad_certify").joinpath("report_schema.json").read_text()
+    )
+    routed = set()
+    for rule in schema["allOf"]:
+        cond = rule["if"]["properties"]["command"]
+        routed |= set(cond.get("enum", [cond.get("const")]))
+    commands = set(lindblad_certify.cli.COMMANDS)
+    assert set(subcommands) == commands == set(schema["properties"]["command"]["enum"]) == routed
+    _, selftest = bench
+    for site in selftest.FROM_IMPORTED:
+        if site.startswith("lindblad_certify."):
+            module, _, attr = site.rpartition(".")
+            assert hasattr(importlib.import_module(module), attr), site
 
 
 

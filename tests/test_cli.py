@@ -114,7 +114,7 @@ def assert_matches_fixture(name, path):
 
 class TestExitCodes:
     def test_missing_model_file(self, capsys):
-        assert run(["closure", "--model", "badpath.json"]) == 2
+        assert run(["check", "--model", "badpath.json"]) == 2
         assert "badpath.json" in capsys.readouterr().err
 
     def test_unknown_builtin_lists_the_choices(self, capsys):
@@ -135,7 +135,15 @@ class TestExitCodes:
         assert "declares no symmetry" in capsys.readouterr().err
 
     def test_nonpositive_tol(self, capsys):
-        assert run(["check"] + TWO_LEVEL + ["--tol", "-1"]) == 2
+        # every closure ratio is below 1, so a tol of 1 or more accepts nothing
+        for tol in ["-1", "0", "1", "1e300", "nan", "inf"]:
+            for flags in ([], ["--json"]):
+                argv = ["check"] + TWO_LEVEL + ["--tol", tol] + flags
+                assert run(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert "--tol must lie strictly between 0 and 1" in captured.err
+                assert "Traceback" not in captured.err
+                assert captured.out == ""
 
     def test_numerical_failure_is_three(self, capsys):
         assert run(["ness"] + TWO_LEVEL + ["--tol", "1e-30"]) == 3
@@ -173,14 +181,14 @@ class TestJsonReports:
         "argv",
         [
             ["check"] + XYZ3,
-            ["closure"] + TWO_LEVEL,
+            ["check"] + TWO_LEVEL,
             ["ness"] + TWO_LEVEL,
             ["sectors"] + XYZ3,
             ["commutant"] + XYZ3,
             ["spectrum"] + TWO_LEVEL,
             ["full"] + XYZ3,
         ],
-        ids=["check", "closure", "ness", "sectors", "commutant", "spectrum", "full"],
+        ids=["check", "check_two_level", "ness", "sectors", "commutant", "spectrum", "full"],
     )
     def test_every_command_matches_the_schema(self, argv, capsys):
         code, doc = run_json(argv, capsys)

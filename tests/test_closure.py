@@ -79,21 +79,21 @@ class TestAlgebraClosure:
         # dimension, so no confirming round is needed
         assert res.rounds == 1
 
-    def test_single_z_stops_at_its_own_square(self):
+    def test_single_z_stops_at_its_own_square(self, ratio_outside):
         res = algebra_closure([SZ], 2)
         assert res.generated_dim == 2
         assert not res.is_full
         assert res.saturated
         # the span must be {Z, I} exactly
-        assert res.basis.contains(SZ)
-        assert res.basis.contains(Operator.identity(2))
-        assert not res.basis.contains(SX)
+        assert ratio_outside(res.basis, SZ) <= 1e-9
+        assert ratio_outside(res.basis, Operator.identity(2)) <= 1e-9
+        assert ratio_outside(res.basis, SX) > 1e-9
 
-    def test_identity_is_not_seeded(self):
+    def test_identity_is_not_seeded(self, ratio_outside):
         # a nilpotent generator: span{sigma+, sigma+^2=0} has dimension 1
         res = algebra_closure([Operator(SINGLE_SITE[PLUS])], 2)
         assert res.generated_dim == 1
-        assert not res.basis.contains(Operator.identity(2))
+        assert ratio_outside(res.basis, Operator.identity(2)) > 1e-9
 
     def test_zero_generators_span_nothing(self):
         res = algebra_closure([Operator.zero(2)], 2)
@@ -135,16 +135,6 @@ class TestCertifier:
         expected = 0.3 * SINGLE_SITE[X] - 0.5j * np.diag([0.5, 0.8])
         assert np.allclose(k.mat, expected, atol=1e-14)
 
-    def test_adjoint_variant_flips_sign_and_daggers(self):
-        spec = two_level_gain_loss(0.8, 0.5, hx=0.3)
-        k_fwd = effective_hamiltonian(spec)
-        k_adj = effective_hamiltonian(spec, adjoint=True)
-        assert np.allclose(k_adj.mat, k_fwd.dag().mat, atol=1e-14)
-        gens = certifier_generators(spec, adjoint=True)
-        jumps = spec.lindblads()
-        assert np.allclose(gens[1].mat, jumps[0].dag().mat)
-        assert np.allclose(gens[2].mat, jumps[1].dag().mat)
-
     def test_two_level_gain_loss_is_certified(self):
         cert = certify_uniqueness(two_level_gain_loss(1.0, 1.0))
         assert cert.verdict == CERTIFIED_UNIQUE
@@ -183,10 +173,10 @@ class TestCertifier:
 
 
 class TestCommutant:
-    def test_irreducible_pair_leaves_only_scalars(self):
+    def test_irreducible_pair_leaves_only_scalars(self, ratio_outside):
         res = commutant([SX, SZ], 2)
         assert res.commutant_dim == 1
-        assert res.basis.contains(Operator.identity(2), 1e-8)
+        assert ratio_outside(res.basis, Operator.identity(2)) <= 1e-8
 
     def test_single_z_commutant_is_the_diagonals(self):
         res = commutant([SZ], 2)
@@ -199,14 +189,14 @@ class TestCommutant:
         res = commutant([Operator.identity(3)], 3)
         assert res.commutant_dim == 9
 
-    def test_xyz_commutant_is_spanned_by_identity_and_parity(self):
+    def test_xyz_commutant_is_spanned_by_identity_and_parity(self, ratio_outside):
         spec = xyz3()
         ham, jumps = spec.operators()
         gens = [ham] + jumps + [j.dag() for j in jumps]
         res = commutant(gens, 8)
         assert res.commutant_dim == 2
-        assert res.basis.contains(Operator.identity(8), 1e-8)
-        assert res.basis.contains(parity_z_operator(3), 1e-8)
+        assert ratio_outside(res.basis, Operator.identity(8)) <= 1e-8
+        assert ratio_outside(res.basis, parity_z_operator(3)) <= 1e-8
 
     def test_rejects_empty_and_mismatched_input(self):
         with pytest.raises(ValueError, match="empty"):
@@ -338,20 +328,18 @@ class TestInvariants:
     def test_result_span_is_product_closed(self):
         res = algebra_closure(certifier_generators(xyz3()), 8)
         mats = [res.basis.matrix_at(i) for i in range(len(res.basis))]
-        bound = 10 * res.tol_used
-        for a in mats:
-            for b in mats:
-                prod = Operator(a @ b)
-                assert res.basis.residual_norm(prod) <= bound * (1 + prod.hs_norm())
+        prods = np.array([(a @ b).ravel() for a in mats for b in mats])
+        # the basis accepts none of its own products at 10x the tolerance
+        assert res.basis.extend_block(prods, 10 * res.tol_used)[0] == []
 
-    def test_more_generators_never_shrink_the_span(self):
+    def test_more_generators_never_shrink_the_span(self, ratio_outside):
         spec = xyz3()
         gens = certifier_generators(spec)
         small = algebra_closure(gens[:1], 8)
         big = algebra_closure(gens, 8)
         assert small.generated_dim <= big.generated_dim
         for member in small.basis.vectors:
-            assert big.basis.contains(member, 1e-8)
+            assert ratio_outside(big.basis, member) <= 1e-8
 
     @pytest.mark.parametrize("scale", [2j, 1e3, 1e-3])
     def test_generator_rescaling_is_invisible(self, scale):

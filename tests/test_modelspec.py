@@ -1,18 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lindblad_certify.modelspec import (
     BUILDERS,
-    LatticeSpec,
     ModelParseError,
     ModelSpec,
     ModelValidationError,
     build_builtin,
     compass_dephasing,
-    lattice_connected,
     load_model,
     parse_bonds,
     parse_model,
@@ -171,7 +170,7 @@ class TestTwoLevel:
         assert ham.hs_norm() == 0
         assert np.allclose(gain.mat, [[0, 1], [0, 0]])
         assert np.allclose(loss.mat, [[0, 0], [math.sqrt(2), 0]])
-        assert spec.lindblad_labels == ["L_g", "L_l"]
+        assert [label for label, _ in spec.lindblad_ops] == ["L_g", "L_l"]
 
     def test_optional_field(self):
         spec = two_level_gain_loss(1.0, 1.0, hx=0.5, hz=-1.0)
@@ -307,8 +306,12 @@ class TestTightBinding:
         assert spec.metadata["params"]["delta"] == 0.3
 
     def test_zero_hopping_warns(self):
-        with pytest.warns(UserWarning, match="t = 0"):
+        with pytest.warns(UserWarning) as record:
             tight_binding_dephasing(3, 0.0)
+        # one warning per dropped ring bond, then the graph they leave
+        messages = [str(w.message) for w in record]
+        assert [m[:5] for m in messages[:3]] == ["t = 0"] * 3
+        assert messages[3].startswith("bond graph is disconnected")
 
 
 class TestLattice:
@@ -325,16 +328,16 @@ class TestLattice:
             parse_bonds("2-2", 3)
 
     def test_connectivity(self):
-        chain = LatticeSpec(sites=[1, 2, 3, 4], bonds=[(1, 2), (2, 3), (3, 4)])
-        assert lattice_connected(chain)
-        split = LatticeSpec(sites=[1, 2, 3, 4], bonds=[(1, 2), (3, 4)])
-        assert not lattice_connected(split)
-        single = LatticeSpec(sites=[1], bonds=[])
-        assert lattice_connected(single)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xyz_lattice(4, "1-2;2-3;3-4", Jx=1.0, Jy=0.5)
+            xyz_lattice(1, [], Jx=1.0, Jy=0.5)
+        with pytest.warns(UserWarning, match="disconnected"):
+            tight_binding_lattice(4, "1-2;3-4", t=1.0)
 
     def test_bond_references_checked(self):
-        with pytest.raises(ModelValidationError, match="undeclared"):
-            LatticeSpec(sites=[1, 2], bonds=[(1, 5)])
+        with pytest.raises(ModelValidationError, match="outside"):
+            xyz_lattice(2, [(1, 5)], Jx=1.0, Jy=0.5)
 
     def test_ring_lattice_equals_bulk_builder(self):
         n = 4
@@ -348,6 +351,22 @@ class TestLattice:
     def test_disconnected_warns(self):
         with pytest.warns(UserWarning, match="disconnected"):
             xyz_lattice(4, "1-2;3-4", Jx=1.0, Jy=0.5)
+
+    def test_dropped_hopping_bond_disconnects(self):
+        # t = 0 on (2, 3) drops the only bond to site 3
+        with pytest.warns(UserWarning) as record:
+            tight_binding_lattice(3, "1-2;2-3", t={(1, 2): 1.0, (2, 3): 0.0})
+        messages = [str(w.message) for w in record]
+        assert "bond dropped" in messages[0]
+        assert "disconnected" in messages[1]
+
+    def test_uncoupled_xyz_bond_disconnects(self):
+        # every coupling on (2, 3) is zero, which leaves site 3 alone
+        zero_on_23 = {"Jx": 1.0, "Jy": 0.5, "Jz": 0.3}
+        couplings = {k: {(1, 2): v, (2, 3): 0.0} for k, v in zero_on_23.items()}
+        with pytest.warns(UserWarning) as record:
+            xyz_lattice(3, "1-2;2-3", **couplings)
+        assert any("disconnected" in str(w.message) for w in record)
 
     def test_per_bond_couplings(self):
         lat = xyz_lattice(

@@ -10,7 +10,6 @@ from lindblad_certify.opalg import (
     at_resolution,
     hs_inner,
     jordan_wigner,
-    orthonormalize_extend,
     pauli_to_operator,
 )
 
@@ -217,51 +216,49 @@ class TestJordanWigner:
 class TestHSBasis:
     def test_extend_accepts_new_directions(self):
         basis = HSBasis(2)
-        assert orthonormalize_extend(basis, Operator.identity(2), 1e-9)
-        assert len(basis) == 1
-        # identity again: linearly dependent, rejected
-        assert not orthonormalize_extend(basis, 5.0 * Operator.identity(2), 1e-9)
-        assert orthonormalize_extend(basis, Operator(SINGLE_SITE["Z"]), 1e-9)
+        # identity, then 5 x identity (dependent, rejected), then Z
+        cands = np.array([np.eye(2).ravel(), 5.0 * np.eye(2).ravel(), SINGLE_SITE["Z"].ravel()])
+        accepted, _, _ = basis.extend_block(cands, 1e-9)
+        assert accepted == [0, 2]
         assert len(basis) == 2
 
     def test_appended_vector_is_residual_not_candidate(self):
         basis = HSBasis(2)
-        orthonormalize_extend(basis, Operator.identity(2), 1e-9)
-        # candidate = I + Z; only the Z part is new
-        orthonormalize_extend(
-            basis, Operator(np.eye(2) + SINGLE_SITE["Z"]), 1e-9
-        )
+        # candidate = I + Z after I; only the Z part is new
+        cands = np.array([np.eye(2).ravel(), (np.eye(2) + SINGLE_SITE["Z"]).ravel()])
+        basis.extend_block(cands, 1e-9)
         appended = basis.vectors[1]
         assert abs(hs_inner(Operator.identity(2), appended)) < 1e-12
         assert appended.hs_norm() == pytest.approx(1.0)
 
-    def test_full_basis_rejects_everything(self):
+    def test_full_basis_rejects_everything(self, ratio_outside):
         rng = np.random.default_rng(3)
         basis = HSBasis(2)
-        while len(basis) < 4:
-            orthonormalize_extend(basis, random_operator(rng, 2), 1e-9)
+        basis.extend_block(np.array([random_operator(rng, 2).mat.ravel() for _ in range(4)]), 1e-9)
+        assert len(basis) == 4
         for _ in range(10):
-            assert not orthonormalize_extend(basis, random_operator(rng, 2), 1e-9)
+            assert ratio_outside(basis, random_operator(rng, 2)) <= 1e-9
 
     def test_gram_stays_identity(self):
         rng = np.random.default_rng(11)
         d = 4
         basis = HSBasis(d)
         for _ in range(40):
-            orthonormalize_extend(basis, random_operator(rng, d), 1e-9)
+            basis.extend_block(random_operator(rng, d).mat.reshape(1, -1), 1e-9)
         assert len(basis) == d * d
         gram = basis.gram()
         assert np.linalg.norm(gram - np.eye(d * d)) < 1e-12
 
     def test_zero_candidate_rejected(self):
         basis = HSBasis(2)
-        assert not orthonormalize_extend(basis, Operator.zero(2), 1e-9)
+        accepted, ratios, _ = basis.extend_block(np.zeros((1, 4)), 1e-9)
+        assert accepted == [] and ratios[0] == 0.0
+        assert len(basis) == 0
 
-    def test_near_duplicate_rejected_at_tolerance(self):
-        basis = HSBasis(2)
-        orthonormalize_extend(basis, Operator.identity(2), 1e-9)
+    def test_near_duplicate_rejected_at_tolerance(self, ratio_outside):
+        basis = HSBasis.from_orthonormal([Operator(np.eye(2) / np.sqrt(2))])
         perturbed = Operator(np.eye(2) * (1 + 1e-13))
-        assert not orthonormalize_extend(basis, perturbed, 1e-9)
+        assert ratio_outside(basis, perturbed) <= 1e-9
 
     def test_nonfinite_candidate_errors(self):
         basis = HSBasis(2)
@@ -269,15 +266,15 @@ class TestHSBasis:
         bad = bad.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            orthonormalize_extend(basis, Operator(bad), 1e-9)
+            basis.extend_block(bad.reshape(1, -1), 1e-9)
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            orthonormalize_extend(basis, Operator(bad), 1e-9)
+            basis.extend_block(bad.reshape(1, -1), 1e-9)
 
     def test_dimension_mismatch(self):
         basis = HSBasis(2)
-        with pytest.raises(ValueError):
-            orthonormalize_extend(basis, Operator.identity(4), 1e-9)
+        with pytest.raises(ValueError, match="wrong shape"):
+            basis.extend_block(np.eye(4).reshape(1, -1), 1e-9)
 
     def test_from_orthonormal_trusts_input(self):
         sz = Operator(SINGLE_SITE["Z"] / np.sqrt(2))
@@ -286,13 +283,14 @@ class TestHSBasis:
         assert len(basis) == 2
         assert np.linalg.norm(basis.gram() - np.eye(2)) < 1e-14
 
-    def test_contains_and_residual(self):
-        basis = HSBasis(2)
-        orthonormalize_extend(basis, Operator.identity(2), 1e-9)
-        assert basis.contains(Operator.identity(2) * 7.0)
-        assert not basis.contains(Operator(SINGLE_SITE["X"]))
-        x_norm = basis.residual_norm(Operator(SINGLE_SITE["X"]))
-        assert x_norm == pytest.approx(np.sqrt(2))
+    def test_contains_and_residual(self, ratio_outside):
+        basis = HSBasis.from_orthonormal([Operator(np.eye(2) / np.sqrt(2))])
+        # inside the span: the ratio is roundoff, so the copy refuses it
+        assert ratio_outside(basis, Operator.identity(2) * 7.0) <= 1e-9
+        # X is orthogonal to I, so its residual is its whole norm sqrt(2)
+        x_ratio = ratio_outside(basis, Operator(SINGLE_SITE["X"]))
+        assert x_ratio == pytest.approx(np.sqrt(2) / (1 + np.sqrt(2)))
+        assert len(basis) == 1
 
     def test_block_extension_matches_sequential(self):
         rng = np.random.default_rng(21)
@@ -300,7 +298,7 @@ class TestHSBasis:
         cands = [random_operator(rng, d) for _ in range(12)]
         seq = HSBasis(d)
         for c in cands:
-            orthonormalize_extend(seq, c, 1e-9)
+            seq.extend_block(c.mat.reshape(1, -1), 1e-9)
         blk = HSBasis(d)
         stacked = np.array([c.mat.ravel() for c in cands])
         accepted, ratios, truncated = blk.extend_block(stacked, 1e-9)
