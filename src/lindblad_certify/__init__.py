@@ -34,8 +34,6 @@ from .symmetry import (
     resolve_symmetry,
     verify_strong_symmetry,
     sector_decompose,
-    restrict,
-    embed,
     verify_invariant_blocks,
 )
 from .closure import (
@@ -96,8 +94,6 @@ __all__ = [
     "resolve_symmetry",
     "verify_strong_symmetry",
     "sector_decompose",
-    "restrict",
-    "embed",
     "verify_invariant_blocks",
     # closure certificates
     "CERTIFIED_UNIQUE",

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .modelspec import ModelSpec
 from .opalg import HSBasis, Operator
-from .symmetry import SectorDecomposition
+from .symmetry import SectorDecomposition, _commutator
 
 CERTIFIED_UNIQUE = "certified_unique"
 NOT_CERTIFIED = "not_certified"
@@ -284,17 +284,15 @@ def restricted_closure(
     gens = list(generators)
     if not gens:
         raise ValueError("generator list is empty")
-    s_mat = sectors.unitary.mat
     for pos, g in enumerate(gens):
-        comm = float(np.linalg.norm(s_mat @ g.mat - g.mat @ s_mat))
-        if comm > tol * (1.0 + g.hs_norm()):
+        comm, ok = _commutator(sectors.unitary.mat, g.mat, tol)
+        if not ok:
             raise ValueError(
                 f"generator {pos} does not commute with the symmetry: "
                 f"||[S, G]|| = {comm:.3e}"
             )
-    results = []
-    for iso in sectors.isometries:
-        d_a = iso.shape[1]
-        blocks = [Operator(iso.conj().T @ g.mat @ iso) for g in gens]
-        results.append(algebra_closure(blocks, d_a, tol=tol, max_basis=None))
-    return results
+    blocks = [sectors.restrict(g.mat) for g in gens]
+    return [
+        algebra_closure([Operator(b[a]) for b in blocks], d_a, tol=tol, max_basis=None)
+        for a, d_a in enumerate(sectors.dims)
+    ]

@@ -250,7 +250,8 @@ def kernel_and_values(lm: LiouvillianMatrix, tol: float = 1e-9):
     block is solved by a real SVD, blocks of one size as one stack, and one
     cutoff, with sigma_max the largest over all blocks, decides the rank of
     every block, exactly as for the whole matrix. The kernel rows are
-    embedded and mapped back through T to complex column-stacked vectors.
+    embedded and mapped back through T to complex column-stacked vectors,
+    each an exactly Hermitian matrix (except the zero generator's identity).
     """
     d, n = lm.d, len(lm.matrix)
     if not lm.matrix.any():

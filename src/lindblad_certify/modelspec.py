@@ -439,7 +439,10 @@ def xyz_bulk_dephasing(N, Jx, Jy, Jz=0.0, hz=0.0, gamma=1.0) -> ModelSpec:
     spec = xyz_lattice(n, ring, jx, jy, jz, hz, g)
     spec.metadata = {
         "builtin": "xyz_bulk_dephasing",
-        "params": {"N": n, "Jx": jx, "Jy": jy, "Jz": jz, "hz": float(hz), "gamma": g},
+        "params": {
+            "N": n, "Jx": jx, "Jy": jy, "Jz": jz,
+            "hz": hz if isinstance(hz, dict) else float(hz), "gamma": g,
+        },
     }
     return spec
 
@@ -449,33 +452,26 @@ def compass_dephasing(N, Jx, Jy, gamma=1.0) -> ModelSpec:
 
     H = -Jx sum_{j=1}^{N/2} X_{2j-1} X_{2j} - Jy sum_{j=1}^{N/2-1} Y_{2j} Y_{2j+1}
     with dephasing L_j = sqrt(gamma) Z_j at every site. N must be even.
-    Each bond carries exactly one of the two couplings, so the per-bond
-    anisotropy condition reduces to both couplings being nonzero.
+    The model is ``xyz_lattice`` on the X bonds, then the Y bonds, each
+    passed only when its coupling is nonzero, so a vanishing coupling
+    warns exactly when it leaves the bond graph disconnected.
     """
     n = int(N)
     if n < 2 or n % 2:
         raise ModelValidationError(f"N must be even and at least 2, got {N}")
     g = _require_positive(gamma, "gamma")
-    if Jx == 0 or Jy == 0:
-        warnings.warn(
-            "a vanishing compass coupling disconnects the interaction graph; "
-            "per-sector closure will not reach full dimension",
-            UserWarning,
-            stacklevel=2,
-        )
-    terms = []
-    for j in range(1, n // 2 + 1):
-        if Jx != 0:
-            terms.append(PauliTerm(-float(Jx), [(2 * j - 1, X), (2 * j, X)]))
-    for j in range(1, n // 2):
-        if Jy != 0:
-            terms.append(PauliTerm(-float(Jy), [(2 * j, Y), (2 * j + 1, Y)]))
-    jumps = _dephasing_jumps(range(1, n + 1), _per_site(g, range(1, n + 1), "gamma"))
-    meta = {
+    jx, jy = float(Jx), float(Jy)
+    x_bonds = [(2 * j - 1, 2 * j) for j in range(1, n // 2 + 1) if jx]
+    y_bonds = [(2 * j, 2 * j + 1) for j in range(1, n // 2) if jy]
+    bonds = x_bonds + y_bonds
+    jx_map = {b: -jx if b in x_bonds else 0.0 for b in bonds}
+    jy_map = {b: -jy if b in y_bonds else 0.0 for b in bonds}
+    spec = xyz_lattice(n, bonds, jx_map, jy_map, gamma=g)
+    spec.metadata = {
         "builtin": "compass_dephasing",
-        "params": {"N": n, "Jx": float(Jx), "Jy": float(Jy), "gamma": g},
+        "params": {"N": n, "Jx": jx, "Jy": jy, "gamma": g},
     }
-    return ModelSpec(n, terms, jumps, declared_symmetries=["parity_z"], metadata=meta)
+    return spec
 
 
 def _hopping_terms(bond, amplitude):

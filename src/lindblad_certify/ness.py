@@ -136,35 +136,6 @@ class NessReport:
         return all(c.passed for c in self.consistency)
 
 
-def _hermitian_kernel_basis(raw: np.ndarray, d: int, tol: float) -> HSBasis:
-    """Re-express a kernel as an orthonormal basis of Hermitian operators.
-
-    The generator commutes with the adjoint map, so its kernel is closed
-    under Hermitian conjugation and is spanned by Hermitian operators. That
-    is checked first: with P the orthonormal kernel vectors (the columns of
-    ``raw``) and M_j column j as a d x d matrix, every
-    ||(I - PP†) vec(M_j†)|| must be at most tol. The test measures the
-    subspace alone, so no rank decision among near-dependent candidates
-    enters it.
-
-    The SVD's basis of a kernel is its own choice (it changes with the
-    LAPACK driver and the BLAS thread count, and even a one-dimensional
-    kernel comes with an arbitrary phase), so the basis returned is the one
-    the kernel itself picks out: see _probe_basis.
-    """
-    k = raw.shape[1]
-    # column j of ``adjoints`` is vec(M_j†), column-stacked like ``raw``
-    adjoints = raw.reshape(d, d, k, order="F").conj().transpose(1, 0, 2)
-    adjoints = adjoints.reshape(d * d, k, order="F")
-    leak = float(np.linalg.norm(adjoints - raw @ (raw.conj().T @ adjoints), axis=0).max())
-    if leak > tol:
-        raise NumericalFailure(
-            f"kernel of dimension {k} is not adjoint-closed, so not spanned by "
-            f"Hermitian directions: an adjoint leaves it by {leak:.3e}"
-        )
-    return _probe_basis(raw, d)
-
-
 PROBE_CHUNK = 32  # probe projections formed at once, each d² entries
 
 
@@ -191,9 +162,12 @@ def _probe_coefficients(rows: np.ndarray, d: int) -> np.ndarray:
 def _probe_basis(raw: np.ndarray, d: int) -> HSBasis:
     """The Hermitian basis of an adjoint-closed kernel that its probes pick.
 
-    ``raw`` has orthonormal kernel vectors as columns (column-stacked, as
-    the SVD returns them). Each probe of _probe_coefficients is projected
-    onto their span, and the projections, made exactly Hermitian, are
+    ``raw`` holds the kernel vectors of kernel_and_values as columns. The
+    SVD's basis of a kernel is its own choice (it changes with the LAPACK
+    driver and the BLAS thread count, and even a one-dimensional kernel
+    comes with an arbitrary phase), so the basis returned is the one the
+    kernel itself picks out. Each probe of _probe_coefficients is projected
+    onto the span, and the projections, made exactly Hermitian, are
     orthonormalized in probe order until k directions are found.
     Projections depend only on the subspace, so the basis does too, signs
     included. Accepting only residual ratios above 1/(4d) keeps roundoff
@@ -253,7 +227,7 @@ def _solve(lm, ham_mat, jump_mats, tol: float):
     has no canonical state.
     """
     raw, svals = kernel_and_values(lm, tol)
-    basis = _hermitian_kernel_basis(raw, lm.d, tol)
+    basis = _probe_basis(raw, lm.d)
     state = _canonical_state(basis, lm.d)
     if state is None:
         return svals, basis, None, (None, None, None)
@@ -265,11 +239,11 @@ def _sector_slice(spec: ModelSpec, sectors: SectorDecomposition, tol: float):
     gens = certifier_generators(spec)
     closures = restricted_closure(gens, sectors, tol)
     ham, jumps = spec.operators()
+    h_blocks = sectors.restrict(ham.mat)
+    l_blocks = [sectors.restrict(j.mat) for j in jumps]
     reports = []
-    for i, iso in enumerate(sectors.isometries):
-        d_a = iso.shape[1]
-        h_a = iso.conj().T @ ham.mat @ iso
-        l_a = [iso.conj().T @ j.mat @ iso for j in jumps]
+    for i, (d_a, h_a) in enumerate(zip(sectors.dims, h_blocks)):
+        l_a = [blocks[i] for blocks in l_blocks]
         svals, basis, state, (min_eig, ratio, resid) = _solve(
             assemble_matrices(h_a, l_a), h_a, l_a, tol
         )
@@ -337,7 +311,7 @@ def _sectors_stage(report: NessReport, spec: ModelSpec, symmetry):
     """Sector analysis under ``symmetry``, skipped when it fails verification."""
     report.symmetry = symmetry if isinstance(symmetry, str) else "custom"
     s_op = resolve_symmetry(symmetry, spec)
-    report.symmetry_check = verify_strong_symmetry(s_op, spec)
+    report.symmetry_check = verify_strong_symmetry(s_op, spec, report.tol)
     if report.symmetry_check.ok:
         report.sectors = sector_decompose(s_op)
         report.per_sector = _sector_slice(spec, report.sectors, report.tol)

@@ -9,7 +9,7 @@ steady state. Everything here works with S as an explicit matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -58,18 +58,22 @@ class SymmetryCheck:
     commutator_norms: dict
 
 
+def _commutator(s: np.ndarray, g: np.ndarray, tol: float):
+    """||[S, G]||_F, and whether S commutes with G: ||[S, G]||_F <= tol (1 + ||G||_F)."""
+    norm = float(np.linalg.norm(s @ g - g @ s))
+    return norm, norm <= tol * (1.0 + float(np.linalg.norm(g)))
+
+
 def verify_strong_symmetry(S: Operator, spec: ModelSpec, tol: float = 1e-9) -> SymmetryCheck:
-    """Check [S, H] = 0 and [S, L_m] = 0 for all m, within tol (HS norm)."""
+    """Check [S, H] = 0 and [S, L_m] = 0 for all m, each by _commutator's rule."""
     if S.dim != spec.dim:
         raise ValueError(f"S has dim {S.dim}, model has dim {spec.dim}")
     if not S.is_unitary(1e-8):
         raise ValueError("S is not unitary")
     ham, jumps = spec.operators()
-    norms = {"H": float(np.linalg.norm(S.mat @ ham.mat - ham.mat @ S.mat))}
-    for (label, _), jump in zip(spec.lindblad_ops, jumps):
-        norms[label] = float(np.linalg.norm(S.mat @ jump.mat - jump.mat @ S.mat))
-    ok = all(v <= tol for v in norms.values())
-    return SymmetryCheck(ok=ok, commutator_norms=norms)
+    labels = ["H"] + [label for label, _ in spec.lindblad_ops]
+    norms, oks = zip(*(_commutator(S.mat, op.mat, tol) for op in [ham] + jumps))
+    return SymmetryCheck(ok=all(oks), commutator_norms=dict(zip(labels, norms)))
 
 
 @dataclass
@@ -81,12 +85,12 @@ class SectorDecomposition:
     unitary: Operator
 
     @property
-    def n_sectors(self) -> int:
-        return len(self.isometries)
-
-    @property
     def dims(self):
         return [iso.shape[1] for iso in self.isometries]
+
+    def restrict(self, mat: np.ndarray) -> list:
+        """V_a† mat V_a for each sector a, in sector order."""
+        return [iso.conj().T @ mat @ iso for iso in self.isometries]
 
 
 def sector_decompose(S: Operator, tol: float = DEFAULT_CLUSTER_TOL) -> SectorDecomposition:
@@ -150,27 +154,6 @@ def sector_decompose(S: Operator, tol: float = DEFAULT_CLUSTER_TOL) -> SectorDec
                 "S is too far from normal for a sector decomposition"
             )
     return decomp
-
-
-def restrict(op: Operator, sector_iso: np.ndarray, unitary: Operator | None = None,
-             tol: float = 1e-9) -> Operator:
-    """Compress an operator to one sector: V† op V.
-
-    The congruence is only information-preserving when op commutes with the
-    symmetry; pass ``unitary`` to have that checked (error on violation).
-    """
-    if unitary is not None:
-        comm = np.linalg.norm(unitary.mat @ op.mat - op.mat @ unitary.mat)
-        if comm > tol * (1.0 + op.hs_norm()):
-            raise ValueError(
-                f"operator does not commute with the symmetry: ||[S, op]|| = {comm:.3e}"
-            )
-    return Operator(sector_iso.conj().T @ op.mat @ sector_iso)
-
-
-def embed(op: Operator, sector_iso: np.ndarray) -> Operator:
-    """Expand a sector operator back to the full space: V op V†."""
-    return Operator(sector_iso @ op.mat @ sector_iso.conj().T)
 
 
 @dataclass

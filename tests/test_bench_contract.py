@@ -6,12 +6,14 @@ import them by name. A rename or a dropped import breaks a benchmark run
 or the three-minute self-test; these checks catch it in a second. The
 benchmark files are imported, never changed. The public surface (the
 package exports, the CLI commands and the report schema's command names)
-is checked here too, so a deletion that leaves a stale name fails fast.
+is checked here too, so a deletion that leaves a stale name fails fast, and
+so are the closure margins that the benchmark's traced summary reads.
 """
 
 import argparse
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,7 +78,6 @@ def test_public_surface_resolves(bench):
             assert hasattr(importlib.import_module(module), attr), site
 
 
-
 def test_cli_import_leaves_scipy_sparse_out():
     # scipy.sparse (and csgraph with it) adds ~20 ms to every start-up,
     # which the benchmark times as setup_s
@@ -88,3 +89,21 @@ def test_cli_import_leaves_scipy_sparse_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closure_margins_are_finite_on_the_traced_models(monkeypatch):
+    # perfbench/run.py reads a missing margin as inf; when every closure of
+    # a run lacks one, its last line prints rank_margin_decades as a bare
+    # Infinity, which is not JSON
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    models = [
+        ("tfim_boundary_dephasing", {"N": 4, **workloads.TFIM_EXAMPLE}),
+        ("xyz_bulk_dephasing", {"N": 4, **workloads.XYZ_EXAMPLE}),
+        ("xyz_bulk_dephasing", dict(workloads.FALSE_CERTIFICATE_WITNESS)),
+    ]
+    for builtin, params in models:
+        closure = lindblad_certify.certify_uniqueness(
+            lindblad_certify.build_builtin(builtin, params)).closure
+        for ratio in (closure.min_accepted_ratio, closure.max_rejected_ratio):
+            assert ratio is not None and 0 < ratio < math.inf, (builtin, params)

@@ -28,6 +28,13 @@ import scipy.linalg
 import lindblad_certify
 from lindblad_certify import ness
 from lindblad_certify.cli import build_parser, run
+from lindblad_certify.modelspec import (
+    ModelSpec,
+    PauliTerm,
+    serialize_model,
+    tight_binding_dephasing,
+    xyz_bulk_dephasing,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -174,6 +181,48 @@ class TestExitCodes:
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
+
+
+class TestOneDecision:
+    """A declared symmetry, and the kernel's Hermiticity, are each decided once."""
+
+    @pytest.mark.parametrize("where", ["H", "L_1"])
+    @pytest.mark.parametrize("builtin", [
+        xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0),
+        tight_binding_dephasing(3, 1.0, 0.3, 0.8),
+    ], ids=["xyz", "tight_binding"])
+    def test_near_symmetry_is_judged_by_one_rule(self, builtin, where, tmp_path, capsys):
+        # eps X_1 breaks the declared symmetry slightly; the sectors stage
+        # either accepts it, and then the restricted closure does too, or
+        # refuses it as not a strong symmetry
+        for exponent in range(-13, -5):
+            ham = list(builtin.hamiltonian_terms)
+            jumps = [(label, list(terms)) for label, terms in builtin.lindblad_ops]
+            (ham if where == "H" else jumps[0][1]).append(PauliTerm(10.0**exponent, [(1, "X")]))
+            spec = ModelSpec(builtin.n_sites, ham, jumps,
+                             declared_symmetries=builtin.declared_symmetries)
+            path = tmp_path / f"eps{exponent}.json"
+            path.write_text(serialize_model(spec))
+            for tol in ["1e-12", "1e-9", "1e-6"]:
+                argv = ["--model", str(path), "--tol", tol]
+                assert run(["full"] + argv) == 0, (exponent, tol)
+                code = run(["sectors"] + argv)
+                err = capsys.readouterr().err
+                assert code == 0 or (code == 2 and "not a strong symmetry" in err), (
+                    exponent, tol, err)
+
+    @pytest.mark.parametrize("tol", ["1e-15", "1e-16"])
+    def test_tiny_tol_keeps_the_hermitian_kernel(self, tol, capsys):
+        argv = ["ness", "--builtin", "tight_binding_dephasing", "-p", "N=4", "-p", "t=1"]
+        assert run(argv + ["--tol", tol]) == 0
+        assert "adjoint" not in capsys.readouterr().err
+
+    def test_per_site_hz_is_echoed(self, capsys):
+        hz = {"1": 0.1, "2": 0.2, "3": 0.3}
+        code, doc = run_json(["check"] + XYZ3[:-2] + ["-p", "hz={1:0.1,2:0.2,3:0.3}"], capsys)
+        assert code == 0
+        assert doc["model"]["metadata"]["params"]["hz"] == hz
+        jsonschema.validate(doc, load_schema())
 
 
 class TestJsonReports:

@@ -239,6 +239,16 @@ BUILTINS_UP_TO_N3 = [
 ]
 
 
+BUILTINS_AT_N4 = [
+    ("tfim_boundary_dephasing", {"N": 4, "h_x": 1.0, "gamma": 0.5}),
+    ("xyz_bulk_dephasing", {"N": 4, "Jx": 1.0, "Jy": 0.5, "Jz": 0.3, "hz": 0.7, "gamma": 1.0}),
+    ("compass_dephasing", {"N": 4, "Jx": 1.0, "Jy": 0.7, "gamma": 1.0}),
+    ("tight_binding_dephasing", {"N": 4, "t": 1.0, "delta": 0.3, "gamma": 0.8}),
+    ("xyz_lattice", {"N": 4, "bonds": "1-2;2-3;3-4;1-3", "Jx": 1.0, "Jy": 0.5, "Jz": 0.3}),
+    ("tight_binding_lattice", {"N": 4, "bonds": "1-2;2-3;3-4", "t": 1.0}),
+]
+
+
 def random_generator(rng, d, n_jumps=2):
     """Random Hermitian H and non-Hermitian complex jumps, as a generator."""
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -257,6 +267,15 @@ def assert_matches_dense_svd(lm, tol=1e-9):
     assert vecs.shape == ref.shape
     assert np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max() <= 1e-12
     assert np.abs(vecs @ vecs.conj().T - ref @ ref.conj().T).max() <= 1e-10
+
+
+def assert_columns_exactly_hermitian(lm, tol):
+    """Every kernel column, as a d x d matrix, equals its adjoint bit for bit."""
+    vecs, _ = kernel_and_values(lm, tol)
+    for col in vecs.T:
+        m = unvec(col, lm.d)
+        assert np.array_equal(m, m.conj().T)
+    return vecs.shape[1]
 
 
 def n_blocks(lm):
@@ -292,7 +311,29 @@ class TestBlockedKernel:
         )
         assert_matches_dense_svd(lm)
 
+    @pytest.mark.parametrize(
+        "name,params", BUILTINS_UP_TO_N3 + BUILTINS_AT_N4,
+        ids=[f"{name}-N{params.get('N', 1)}" for name, params in BUILTINS_UP_TO_N3 + BUILTINS_AT_N4],
+    )
+    def test_builtin_kernel_columns_are_exactly_hermitian(self, name, params):
+        lm = assemble(build_builtin(name, params))
+        for tol in (1e-9, 1e-15):
+            assert_columns_exactly_hermitian(lm, tol)
+
+    def test_random_kernel_columns_are_exactly_hermitian(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4, 5):
+            assert_columns_exactly_hermitian(random_generator(rng, d), 1e-9)
+        # two decoupled blocks: a two-dimensional kernel
+        h, jumps = (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+                    for _ in range(2))
+        block = scipy.linalg.block_diag
+        lm = assemble_matrices(block(*(h + h.conj().transpose(0, 2, 1))), [block(*jumps)])
+        assert assert_columns_exactly_hermitian(lm, 1e-9) == 2
+
     def test_zero_generator_returns_the_identity(self):
+        # the one kernel whose columns are not Hermitian matrices: it is
+        # the whole space, which is adjoint-closed all the same
         lm = LiouvillianMatrix(d=3, matrix=np.zeros((9, 9), dtype=complex))
         vecs, svals = kernel_and_values(lm, 1e-9)
         assert np.array_equal(vecs, np.eye(9))

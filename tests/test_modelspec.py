@@ -236,6 +236,14 @@ class TestXYZ:
         with pytest.warns(UserWarning, match="Jx"):
             xyz_bulk_dephasing(4, 1.0, -1.0, 0.3)
 
+    def test_per_site_hz_is_kept_as_given(self):
+        hz = {1: 0.1, 2: 0.2, 3: 0.3}
+        spec = xyz_bulk_dephasing(3, 1.0, 0.5, hz=hz)
+        ring = xyz_lattice(3, "1-2;2-3;3-1", Jx=1.0, Jy=0.5, hz=hz)
+        assert np.array_equal(spec.hamiltonian().mat, ring.hamiltonian().mat)
+        assert spec.metadata["params"]["hz"] == hz
+        assert xyz_bulk_dephasing(3, 1.0, 0.5, hz=1).metadata["params"]["hz"] == 1.0
+
     def test_n2_literal_sum_doubles_bond(self):
         spec = xyz_bulk_dephasing(2, 1.0, 0.5, 0.0, 0.0, 1.0)
         expected = 2 * (
@@ -269,6 +277,15 @@ class TestCompass:
     def test_zero_coupling_warns(self):
         with pytest.warns(UserWarning, match="disconnect"):
             compass_dephasing(4, 0.0, 0.7)
+
+    def test_zero_coupling_on_no_bond_does_not_warn(self):
+        # N = 2 has no Y bond, so Jy = 0 leaves its one X bond joining both sites
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = compass_dephasing(2, 1.0, 0.0)
+        assert spec.to_dict() == compass_dephasing(2, 1.0, 0.5).to_dict() | {
+            "metadata": {"builtin": "compass_dephasing",
+                         "params": {"N": 2, "Jx": 1.0, "Jy": 0.0, "gamma": 1.0}}}
 
 
 class TestTightBinding:

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from lindblad_certify.closure import restricted_closure
 from lindblad_certify.liouvillian import apply_matrices, assemble_matrices, kernel_and_values
 from lindblad_certify.modelspec import (
     ModelSpec,
@@ -12,10 +15,8 @@ from lindblad_certify.opalg import Operator, PauliTerm
 from lindblad_certify.symmetry import (
     BlockCheck,
     SectorDecomposition,
-    embed,
     parity_z_operator,
     resolve_symmetry,
-    restrict,
     sector_decompose,
     u1_number_operator,
     verify_invariant_blocks,
@@ -93,6 +94,22 @@ class TestVerifyStrongSymmetry:
         assert check.commutator_norms["H"] > 1.0
         assert check.commutator_norms["L_1"] <= 1e-12
 
+    def test_rule_is_relative_to_the_operator_norm(self):
+        # eps X_1 in H: ||[S, H]|| = 2 eps ||X_1|| lies above tol but below
+        # tol (1 + ||H||), so parity holds by the rule restricted_closure uses
+        base = xyz3()
+        spec = ModelSpec(3, base.hamiltonian_terms + [PauliTerm(1e-9, [(1, "X")])],
+                         base.lindblad_ops)
+        check = verify_strong_symmetry(parity_z_operator(3), spec, 1e-9)
+        assert 1e-9 < check.commutator_norms["H"] < 1e-9 * (1 + spec.hamiltonian().hs_norm())
+        assert check.ok
+        sectors = sector_decompose(parity_z_operator(3))
+        gens = [spec.hamiltonian()] + spec.lindblads()
+        assert len(restricted_closure(gens, sectors, 1e-9)) == 2
+        assert not verify_strong_symmetry(parity_z_operator(3), spec, 1e-11).ok
+        with pytest.raises(ValueError, match="generator 0 does not commute"):
+            restricted_closure(gens, sectors, 1e-11)
+
     def test_non_unitary_rejected(self):
         spec = xyz3()
         with pytest.raises(ValueError, match="unitary"):
@@ -106,20 +123,20 @@ class TestVerifyStrongSymmetry:
 class TestSectorDecompose:
     def test_parity_halves_the_space(self):
         sectors = sector_decompose(parity_z_operator(3))
-        assert sectors.n_sectors == 2
+        assert len(sectors.dims) == 2
         assert sectors.dims == [4, 4]
         # theta = 0 sector (eigenvalue +1) comes first
         assert np.allclose(sectors.eigenvalues, [1.0, -1.0])
 
     def test_number_phase_gives_binomial_dims(self):
         sectors = sector_decompose(u1_number_operator(4))
-        assert sectors.n_sectors == 5
+        assert len(sectors.dims) == 5
         assert sectors.dims == [1, 4, 6, 4, 1]
         assert np.allclose(sectors.eigenvalues, np.exp(1j * np.arange(5)))
 
     def test_identity_is_one_sector(self):
         sectors = sector_decompose(Operator(np.eye(8)))
-        assert sectors.n_sectors == 1
+        assert len(sectors.dims) == 1
         assert sectors.dims == [8]
 
     def test_isometries_are_eigenvectors(self):
@@ -149,23 +166,22 @@ class TestSectorDecompose:
         eps = 1e-12
         s_op = Operator(np.diag([np.exp(1j * eps), np.exp(-1j * eps), 1j]))
         sectors = sector_decompose(s_op, tol=1e-8)
-        assert sectors.n_sectors == 2
+        assert len(sectors.dims) == 2
         assert sectors.dims == [2, 1]
 
 
 class TestRestrict:
     def test_identity_restricts_to_identity(self):
         sectors = sector_decompose(parity_z_operator(3))
-        for iso in sectors.isometries:
-            block = restrict(Operator(np.eye(8)), iso)
-            assert np.allclose(block.mat, np.eye(iso.shape[1]), atol=1e-12)
+        for iso, block in zip(sectors.isometries, sectors.restrict(np.eye(8))):
+            assert np.allclose(block, np.eye(iso.shape[1]), atol=1e-12)
 
     def test_symmetry_is_scalar_on_its_sector(self):
         s_op = u1_number_operator(3)
         sectors = sector_decompose(s_op)
-        for val, iso in zip(sectors.eigenvalues, sectors.isometries):
-            block = restrict(s_op, iso)
-            assert np.allclose(block.mat, val * np.eye(iso.shape[1]), atol=1e-10)
+        blocks = sectors.restrict(s_op.mat)
+        for val, iso, block in zip(sectors.eigenvalues, sectors.isometries, blocks):
+            assert np.allclose(block, val * np.eye(iso.shape[1]), atol=1e-10)
 
     def test_xyz_even_block_spectrum_matches_independent_basis(self):
         # independent even-parity basis: computational states with an even
@@ -176,7 +192,7 @@ class TestRestrict:
         v_direct = np.eye(8)[:, even_idx]
         block_direct = v_direct.T @ ham.mat @ v_direct
         sectors = sector_decompose(parity_z_operator(3))
-        block_ours = restrict(ham, sectors.isometries[0], unitary=sectors.unitary)
+        block_ours = Operator(sectors.restrict(ham.mat)[0])
         assert block_ours.dim == 4
         assert block_ours.is_hermitian(1e-12)
         assert np.allclose(
@@ -190,15 +206,20 @@ class TestRestrict:
         ham = spec.hamiltonian()
         sectors = sector_decompose(parity_z_operator(3))
         rebuilt = sum(
-            embed(restrict(ham, iso), iso).mat for iso in sectors.isometries
+            iso @ block @ iso.conj().T
+            for iso, block in zip(sectors.isometries, sectors.restrict(ham.mat))
         )
         assert np.allclose(rebuilt, ham.mat, atol=1e-10)
 
     def test_noncommuting_operator_rejected_with_norm(self):
+        # restriction itself checks nothing; restricted_closure refuses a
+        # generator that does not commute with S, and names the norm
         spec = tfim_boundary_dephasing(3, 1.0, 0.5)
         sectors = sector_decompose(parity_z_operator(3))
-        with pytest.raises(ValueError, match="commute"):
-            restrict(spec.hamiltonian(), sectors.isometries[0], unitary=sectors.unitary)
+        ham = spec.hamiltonian().mat
+        norm = np.linalg.norm(sectors.unitary.mat @ ham - ham @ sectors.unitary.mat)
+        with pytest.raises(ValueError, match="commute.*" + re.escape(f"{norm:.3e}")):
+            restricted_closure([spec.hamiltonian()], sectors)
 
     def test_morphism_on_commutant(self):
         rng = np.random.default_rng(9)
@@ -209,12 +230,12 @@ class TestRestrict:
             mats = []
             for _ in range(2):
                 raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-                mats.append(Operator(sum(p @ raw @ p for p in projectors)))
+                mats.append(sum(p @ raw @ p for p in projectors))
             a, b = mats
-            for iso in sectors.isometries:
-                lhs = restrict(a @ b, iso, unitary=s_op)
-                rhs = restrict(a, iso) @ restrict(b, iso)
-                assert np.allclose(lhs.mat, rhs.mat, atol=1e-10)
+            for lhs, a_blk, b_blk in zip(
+                sectors.restrict(a @ b), sectors.restrict(a), sectors.restrict(b)
+            ):
+                assert np.allclose(lhs, a_blk @ b_blk, atol=1e-10)
 
 
 class TestInvariantBlocks:
@@ -269,8 +290,8 @@ class TestInvariantBlocks:
         for spec, s_op in cases:
             sectors = sector_decompose(s_op)
             ham, jumps = spec.operators()
-            for iso in sectors.isometries:
-                h_block = restrict(ham, iso, unitary=s_op).mat
-                l_blocks = [restrict(j, iso, unitary=s_op).mat for j in jumps]
-                lm = assemble_matrices(h_block, l_blocks)
+            assert verify_strong_symmetry(s_op, spec).ok
+            l_blocks = [sectors.restrict(j.mat) for j in jumps]
+            for a, h_block in enumerate(sectors.restrict(ham.mat)):
+                lm = assemble_matrices(h_block, [blocks[a] for blocks in l_blocks])
                 assert kernel_and_values(lm, 1e-9)[0].shape[1] >= 1
