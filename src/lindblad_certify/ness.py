@@ -31,12 +31,12 @@ from .closure import (
 from .liouvillian import (
     NumericalFailure,
     apply_matrices,
-    assemble,
     assemble_matrices,
     kernel_and_values,
 )
 from .modelspec import ModelSpec
 from .opalg import HSBasis, Operator, at_resolution
+from .pauli import generator_form
 from .symmetry import (
     SectorDecomposition,
     SymmetryCheck,
@@ -320,7 +320,7 @@ def _sectors_stage(report: NessReport, spec: ModelSpec, symmetry):
 def _kernel_stage(report: NessReport, spec: ModelSpec):
     ham, jumps = spec.operators()
     svals, basis, state, (min_eig, ratio, resid) = _solve(
-        assemble(spec), ham.mat, [j.mat for j in jumps], report.tol
+        generator_form(spec), ham.mat, [j.mat for j in jumps], report.tol
     )
     k = len(basis)
     report.kernel_dim = k

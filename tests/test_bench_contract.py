@@ -107,3 +107,32 @@ def test_closure_margins_are_finite_on_the_traced_models(monkeypatch):
             lindblad_certify.build_builtin(builtin, params)).closure
         for ratio in (closure.min_accepted_ratio, closure.max_rejected_ratio):
             assert ratio is not None and 0 < ratio < math.inf, (builtin, params)
+
+
+def test_steady_workload_keeps_a_finite_margin(monkeypatch):
+    # on Pauli strings the identity, and for xyz the parity string, is an
+    # exactly zero 1 x 1 block, so the kernel decision of tfim and xyz has
+    # nothing on one side; perfbench/run.py takes the smallest margin of a
+    # run, and when none is finite its last line prints a bare Infinity
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = importlib.import_module("child")
+    workloads = importlib.import_module("workloads")
+    runner = child.Runner("steady_n5", lindblad_certify)
+    margins = []
+    for model in workloads.make_models("steady_n5", 1):
+        spec = lindblad_certify.build_builtin(model["builtin"], {**model["params"], "N": 4})
+        margins += runner.record(runner.call(model, spec))["margins"]
+    assert any(m is not None and math.isfinite(m) for m in margins), margins
+
+
+def test_kernel_span_counts_a_real_call(bench):
+    spans, _ = bench
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        lindblad_certify.steady_states(lindblad_certify.build_builtin(
+            "tfim_boundary_dephasing", {"N": 3, "h_x": 1.0, "gamma": 0.5}))
+    finally:
+        tracer.uninstall()
+    counts = [span[5] for span in tracer.spans if span[0] == "liouvillian.kernel_and_values"]
+    assert counts == [{"matrix_dim": 64}]

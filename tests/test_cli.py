@@ -33,10 +33,21 @@ from lindblad_certify.modelspec import (
     PauliTerm,
     serialize_model,
     tight_binding_dephasing,
+    two_level_gain_loss,
     xyz_bulk_dephasing,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+
+def non_hermitian_two_level():
+    """The two-level gain/loss model with H = i Z_1, which is not Hermitian.
+
+    -i[H, rho] then maps Hermitian operators to anti-Hermitian ones, which
+    the kernel solve refuses: a real numerical failure at any tol.
+    """
+    return ModelSpec(1, [PauliTerm(1j, [(1, "Z")])], two_level_gain_loss(1.0, 2.0).lindblad_ops)
+
 
 FIXTURES = {
     "two_level_full.json": [
@@ -152,9 +163,13 @@ class TestExitCodes:
                 assert "Traceback" not in captured.err
                 assert captured.out == ""
 
-    def test_numerical_failure_is_three(self, capsys):
-        assert run(["ness"] + TWO_LEVEL + ["--tol", "1e-30"]) == 3
-        assert "no kernel vector" in capsys.readouterr().err
+    def test_numerical_failure_is_three(self, tmp_path, capsys):
+        path = tmp_path / "non_hermitian.json"
+        path.write_text(serialize_model(non_hermitian_two_level()))
+        assert run(["ness", "--model", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[kernel] the generator does not preserve Hermiticity" in err
+        assert "Traceback" not in err
 
     def test_inconclusive_is_four(self, capsys):
         argv = ["check", "--builtin", "tfim_boundary_dephasing",

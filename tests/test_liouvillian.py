@@ -6,7 +6,6 @@ from lindblad_certify.liouvillian import (
     LiouvillianMatrix,
     NumericalFailure,
     _blocks,
-    _real_form,
     apply,
     apply_matrices,
     assemble,
@@ -279,7 +278,7 @@ def assert_columns_exactly_hermitian(lm, tol):
 
 
 def n_blocks(lm):
-    return sum(len(group) for group in _blocks(_real_form(lm.matrix, lm.d)[0]))
+    return sum(len(group) for group in _blocks(lm.real_form()[0]))
 
 
 class TestBlockedKernel:

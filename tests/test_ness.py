@@ -33,7 +33,7 @@ from lindblad_certify.ness import (
 )
 from lindblad_certify.opalg import Operator
 from lindblad_certify.symmetry import parity_z_operator, resolve_symmetry
-from test_cli import gesvd
+from test_cli import gesvd, non_hermitian_two_level
 
 
 def xyz3():
@@ -303,8 +303,8 @@ class TestFullVerdict:
         assert report.all_consistent
 
     def test_errors_carry_the_stage_name(self):
-        with pytest.raises(NumericalFailure, match=r"\[kernel\]"):
-            full_verdict(two_level_gain_loss(1.0, 2.0), tol=1e-30)
+        with pytest.raises(NumericalFailure, match=r"^\[kernel\] the generator does not preserve"):
+            full_verdict(non_hermitian_two_level())
 
     def test_soundness_sweep_on_random_small_models(self):
         rng = np.random.default_rng(2024)
