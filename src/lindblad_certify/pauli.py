@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liouvillian import DEFAULT_MAX_DIM, check_budget
+from .liouvillian import check_budget
 from .modelspec import ModelSpec
 from .opalg import PLUS, X, Y, Z
 
@@ -40,12 +40,15 @@ _I_POW = np.array([1, 1j, -1, -1j])
 # 2 odd(b,c) + odd(b,c'), with odd = 1 for anticommuting strings.
 _PAIR_MU = np.array([[0, -1, 1, -2], [2, -1, 1, 0]])
 _PAIR_CONJ = np.array([[0, 1, -1, -2], [-2, -1, 1, 0]])
+# the most contributions generator_form sums at once
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
 class _Tables:
     """Per-N index and phase tables, shared by every model with N sites."""
 
+    ones: np.ndarray  # the number of set bits of every mask below d
     weight: np.ndarray  # |x∧z| of every string, the power of i in its prefactor
     z_of: np.ndarray  # the z mask of every string
     x_of: np.ndarray  # the x mask of every string
@@ -57,16 +60,19 @@ class _Tables:
 @lru_cache(maxsize=16)
 def _tables(n_sites: int) -> _Tables:
     d = 2**n_sites
+    masks = np.arange(d)
+    # bit counts as exact integers, one site at a time
+    ones = sum(((masks >> j) & 1 for j in range(n_sites)), np.zeros(d, dtype=np.intp))
     idx = np.arange(d * d)
     x_of, z_of = idx >> n_sites, idx & (d - 1)
-    weight = np.bitwise_count(x_of & z_of).astype(np.intp)
-    masks = np.arange(d)
-    parity = np.bitwise_count(masks[:, None] & masks[None, :]) & 1
+    weight = ones[x_of & z_of]
+    parity = ones[masks[:, None] & masks[None, :]] & 1
     # vec position of entry (c⊕x, c) is (c⊕x) + c·d; invert that map
     flat_x, flat_c = np.divmod(idx, d)
     order = np.empty(d * d, dtype=np.intp)
     order[(flat_c ^ flat_x) + flat_c * d] = idx
     return _Tables(
+        ones=ones,
         weight=weight,
         z_of=z_of,
         x_of=x_of,
@@ -81,7 +87,7 @@ def product_power(n_sites: int, t, b):
     tab = _tables(n_sites)
     return (
         tab.weight[t] + tab.weight[b]
-        + 2 * np.bitwise_count(tab.z_of[t] & tab.x_of[b])
+        + 2 * tab.ones[tab.z_of[t] & tab.x_of[b]]
         - tab.weight[t ^ b]
     ) & 3
 
@@ -145,7 +151,43 @@ class PauliForm:
         return (by_x @ tab.hadamard).reshape(k, d * d)[:, tab.gather].T
 
 
-def generator_form(spec: ModelSpec, max_dim: int = DEFAULT_MAX_DIM) -> PauliForm:
+def _contributions(n_sites: int, cols, keys, ham, first, second, mu):
+    """Left strings t and values v of the contributions v[b] P_t P_b to column b.
+
+    One row for each Hamiltonian string in ``keys`` (coefficients ``ham``),
+    then one for each jump pair (``first``, ``second``) with weight ``mu``.
+    """
+    lefts = np.concatenate([keys, first ^ second])
+    n_h, n_t = len(keys), len(lefts)
+    # the powers of the left strings, then of the pairs' two strings
+    power = product_power(n_sites, np.concatenate([lefts, first, second])[:, None], cols)
+    coeffs = np.empty((n_t, len(cols)), dtype=complex)
+    coeffs[:n_h] = -2j * ham[:, None] * (power[:n_h] & 1)
+    if n_t > n_h:
+        rows = np.arange(len(first))
+        # P_c P_c' = i^p P_{c⊕c'}: the row of c, at column c'
+        p_pair = power[n_t + rows, second]
+        mu = mu[:, None]
+        anti = p_pair & 1  # the row of _PAIR_MU: 1 where P_c, P_c' anticommute
+        pair = (mu * _PAIR_MU[anti] + mu.conj() * _PAIR_CONJ[anti]) * _I_POW[p_pair][:, None]
+        odd = power[n_t:] & 1
+        coeffs[n_h:] = pair[rows[:, None], 2 * odd[: len(rows)] + odd[len(rows) :]]
+    return lefts, coeffs * _I_POW[power[:n_t]]
+
+
+def _accumulate(total, flat, weights, size: int):
+    """Add ``weights`` at positions ``flat`` into ``total``, in order.
+
+    np.add.at adds in the same order as np.bincount, so rows summed block
+    by block give the same floating-point sums as all rows at once.
+    """
+    if total is None:
+        return np.bincount(flat, weights=weights, minlength=size)
+    np.add.at(total, flat, weights)
+    return total
+
+
+def generator_form(spec: ModelSpec) -> PauliForm:
     """The generator's PauliForm, built from the model's terms.
 
     With Hamiltonian strings h_k P_k and jumps L_m = sum_c λ_c P_c:
@@ -164,10 +206,13 @@ def generator_form(spec: ModelSpec, max_dim: int = DEFAULT_MAX_DIM) -> PauliForm
 
     What is left to sum on one entry are contributions of different terms,
     which cancel only where the model's coefficients do, so the matrix's
-    zero pattern is exact. The budget ``max_dim`` on d is assemble's.
+    zero pattern is exact. A jump with S strings has S(S+1)/2 pairs, so
+    the rows are summed in blocks of at most _BLOCK_ENTRIES entries, and
+    memory beyond the d⁴ sums does not grow with the number of pairs. The
+    budget on d is assemble's.
     """
     n_sites, d = spec.n_sites, spec.dim
-    check_budget(d, max_dim)
+    check_budget(d)
     n = d * d
     cols = np.arange(n)
     ham = strings(spec.hamiltonian_terms, n_sites)
@@ -181,34 +226,26 @@ def generator_form(spec: ModelSpec, max_dim: int = DEFAULT_MAX_DIM) -> PauliForm
                 first.append(c)
                 second.append(c2)
                 mu.append(lam * lam2.conjugate() * (0.5 if c == c2 else 1.0))
-    keys = np.array(list(ham), dtype=np.intp)
+    keys, h_coeffs = np.array(list(ham), dtype=np.intp), np.array(list(ham.values()))
     first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
-    # the left strings t of the contributions a[b] P_t P_b to column b:
-    # H's strings, then the pairs' products
-    lefts = np.concatenate([keys, first ^ second])
-    n_h, n_t = len(keys), len(lefts)
-    # the powers of the left strings, then of the pairs' two strings
-    power = product_power(n_sites, np.concatenate([lefts, first, second])[:, None], cols)
-    coeffs = np.empty((n_t, n), dtype=complex)
-    coeffs[:n_h] = -2j * np.array(list(ham.values()))[:, None] * (power[:n_h] & 1)
-    if n_t > n_h:
-        rows = np.arange(len(first))
-        # P_c P_c' = i^p P_{c⊕c'}: the row of c, at column c'
-        p_pair = power[n_t + rows, second]
-        mu = np.array(mu)[:, None]
-        anti = p_pair & 1  # the row of _PAIR_MU: 1 where P_c, P_c' anticommute
-        pair = (mu * _PAIR_MU[anti] + mu.conj() * _PAIR_CONJ[anti]) * _I_POW[p_pair][:, None]
-        odd = power[n_t:] & 1
-        coeffs[n_h:] = pair[rows[:, None], 2 * odd[: len(rows)] + odd[len(rows) :]]
-    values = coeffs * _I_POW[power[:n_t]]
-    flat = (lefts[:, None] ^ cols) * n + cols
-    # bincount adds each entry's contributions in order
-    matrix = np.bincount(flat.ravel(), weights=values.real.ravel(), minlength=n * n)
-    imag = values.imag
-    imag_norm = 0.0
-    if imag.any():
-        nonzero = imag != 0
-        _, slot = np.unique(flat[nonzero], return_inverse=True)
-        summed = np.bincount(slot, weights=imag[nonzero])
-        imag_norm = float(np.sqrt(summed @ summed))
+    mu = np.array(mu)
+    # rows are H's strings, then the pairs; a block takes rows lo..hi-1
+    n_h, n_rows = len(keys), len(keys) + len(first)
+    step = max(1, _BLOCK_ENTRIES // n)
+    matrix = imag = None
+    for lo in range(0, n_rows, step):
+        hi = lo + step
+        pairs = slice(max(lo - n_h, 0), max(hi - n_h, 0))
+        lefts, values = _contributions(
+            n_sites, cols, keys[lo:hi], h_coeffs[lo:hi], first[pairs], second[pairs], mu[pairs]
+        )
+        flat = ((lefts[:, None] ^ cols) * n + cols).ravel()
+        matrix = _accumulate(matrix, flat, values.real.ravel(), n * n)
+        part = values.imag.ravel()
+        if part.any():
+            nonzero = part != 0
+            imag = _accumulate(imag, flat[nonzero], part[nonzero], n * n)
+    if matrix is None:
+        matrix = np.zeros(n * n)
+    imag_norm = 0.0 if imag is None else float(np.sqrt(imag @ imag))
     return PauliForm(d=d, matrix=matrix.reshape(n, n), imag_norm=imag_norm)

@@ -25,6 +25,7 @@ from lindblad_certify.modelspec import (
     compass_dephasing,
 )
 from lindblad_certify.opalg import Operator, PauliTerm, pauli_to_operator
+from lindblad_certify.pauli import PauliForm
 from lindblad_certify.symmetry import parity_z_operator, sector_decompose
 
 
@@ -219,9 +220,12 @@ class TestKernel:
         assert kernel_and_values(lm, 1e-9)[0].shape == (4, 4)
 
     def test_empty_kernel_flagged(self):
-        lm = LiouvillianMatrix(d=2, matrix=np.eye(4, dtype=complex))
-        with pytest.raises(NumericalFailure, match="steady state"):
-            kernel_and_values(lm, 1e-9)[0]
+        for form in (
+            LiouvillianMatrix(d=2, matrix=np.eye(4, dtype=complex)),
+            PauliForm(d=1, matrix=np.array([[-1.0]]), imag_norm=0.0),
+        ):
+            with pytest.raises(NumericalFailure, match="no kernel vector found"):
+                kernel_and_values(form, 1e-9)
 
 
 BUILTINS_UP_TO_N3 = [

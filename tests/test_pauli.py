@@ -1,5 +1,6 @@
 """The generator on Pauli strings against dense matrices and the matrix-unit path."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from lindblad_certify.liouvillian import (
 )
 from lindblad_certify.modelspec import MINUS, PLUS, X, Y, Z, ModelSpec, build_builtin
 from lindblad_certify.opalg import Operator, PauliTerm, pauli_to_operator
+from lindblad_certify import pauli
 from lindblad_certify.pauli import generator_form, product_power, strings
 from test_cli import non_hermitian_two_level
 from test_liouvillian import BUILTINS_UP_TO_N3
@@ -167,9 +169,60 @@ class TestPauliForm:
         assert np.array_equal(svals, np.zeros(16))
 
     def test_budget_guard(self):
-        spec = build_builtin("tfim_boundary_dephasing", {"N": 3, "h_x": 1.0, "gamma": 0.5})
+        # d = 512 is over DEFAULT_MAX_DIM; the guard fires before any array
+        spec = build_builtin("tfim_boundary_dephasing", {"N": 9, "h_x": 1.0, "gamma": 0.5})
         with pytest.raises(ValueError, match="budget"):
-            generator_form(spec, max_dim=4)
+            generator_form(spec)
+
+
+def many_string_jump_model(count, n_sites=4):
+    """H = X_1 and one jump summing ``count`` distinct random strings."""
+    rng = np.random.default_rng(0)
+    d = 2**n_sites
+    terms = []
+    for s in rng.choice(np.arange(1, d * d), size=count, replace=False):
+        x, z = divmod(int(s), d)
+        factors = [
+            (j + 1, LETTERS[(x >> j & 1, z >> j & 1)])
+            for j in range(n_sites)
+            if (x >> j & 1, z >> j & 1) != (0, 0)
+        ]
+        terms.append(PauliTerm(complex(*rng.standard_normal(2)), factors))
+    return ModelSpec(n_sites, [PauliTerm(1.0, [(1, X)])], [("L_many", terms)])
+
+
+class TestBlockedSums:
+    """generator_form sums the jump pairs in blocks of bounded size."""
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # 128 strings make 8256 pairs; summing them all at once took about
+        # 190 MB of arrays, in blocks the peak is about 22 MB
+        spec = many_string_jump_model(128)
+        tracemalloc.start()
+        try:
+            form = generator_form(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert np.isfinite(form.matrix).all() and form.imag_norm <= 1e-12 * np.abs(form.matrix).max()
+
+    def test_blocks_of_one_row_give_the_same_bits(self, monkeypatch):
+        specs = [
+            many_string_jump_model(12, n_sites=2),
+            random_model(np.random.default_rng(7), 3),
+            build_builtin("tight_binding_dephasing", {"N": 3, "t": 1.0, "delta": 0.3, "gamma": 0.8}),
+            non_hermitian_two_level(),
+        ]
+        whole = [generator_form(spec) for spec in specs]
+        monkeypatch.setattr(pauli, "_BLOCK_ENTRIES", 1)
+        for spec, ref in zip(specs, whole):
+            form = generator_form(spec)
+            assert np.array_equal(form.matrix, ref.matrix)
+            assert abs(form.imag_norm - ref.imag_norm) <= 1e-15 * ref.imag_norm
+
+    def test_many_string_columns_match_apply(self):
+        assert_columns_match_apply(many_string_jump_model(12, n_sites=2))
 
 
 class TestExactness:
