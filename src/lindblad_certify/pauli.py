@@ -31,17 +31,24 @@ from .opalg import PLUS, X, Y, Z
 
 # i^p for p = 0..3
 _I_POW = np.array([1, 1j, -1, -1j])
+# i^p where p is odd, 0 where it is even: a Hamiltonian string's factor
+_ODD_POW = np.array([0, 1j, 0, -1j])
 # A jump pair (c, c') at column b: with s = ±1 for commuting and
 # anticommuting strings, σ = s(c,c') and e = 1 where s(b,c) = s(b,c'),
 # the order (c, c') weighs s(b,c') - σe and the order (c', c), whose
 # product P_c' P_c is σ P_c P_c', weighs s(b,c) - σe. The pair's value is
 # mu times the first weight plus conj(mu) σ times the second; these are
 # the two integer factors, by row σ = 1, -1 and by column the case
-# 2 odd(b,c) + odd(b,c'), with odd = 1 for anticommuting strings.
-_PAIR_MU = np.array([[0, -1, 1, -2], [2, -1, 1, 0]])
-_PAIR_CONJ = np.array([[0, 1, -1, -2], [-2, -1, 1, 0]])
+# 2 odd(b,c) + odd(b,c'), with odd = 1 for anticommuting strings. Both
+# are stored by the power p of P_c P_c' = i^p P_{c⊕c'}, with σ = 1 exactly
+# when p is even, and carry the factor i^p.
+_PAIR_MU = np.array([[0, -1, 1, -2], [2, -1, 1, 0]])[[0, 1, 0, 1]] * _I_POW[:, None]
+_PAIR_CONJ = np.array([[0, 1, -1, -2], [-2, -1, 1, 0]])[[0, 1, 0, 1]] * _I_POW[:, None]
 # the most contributions generator_form sums at once
-_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 17
+# up to this many sites product_power reads a table of 16^N entries (4096 at
+# N = 3; at N = 4 the table and its build would add to peak memory)
+_TABLE_SITES = 3
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,8 @@ class _Tables:
     phase: np.ndarray  # (d, d) over (x, z): i^{|x∧z|} / √d
     hadamard: np.ndarray  # (d, d) over (z, c): (-1)^{|z∧c|}
     gather: np.ndarray  # vec position r + c·d  <-  flat (x, c) with r = c⊕x
+    strings: np.ndarray  # every string index
+    diagonal: np.ndarray  # flat position b·d² + b of each diagonal entry of a d² x d² matrix
 
 
 @lru_cache(maxsize=16)
@@ -79,17 +88,37 @@ def _tables(n_sites: int) -> _Tables:
         phase=_I_POW[weight.reshape(d, d) & 3] / np.sqrt(d),
         hadamard=1.0 - 2.0 * parity,
         gather=order,
+        strings=idx,
+        diagonal=idx * (d * d + 1),
     )
 
 
-def product_power(n_sites: int, t, b):
-    """p with P_t P_b = i^p P_{t⊕b}, for broadcast index arrays t and b."""
+def _counted_power(n_sites: int, t, b):
     tab = _tables(n_sites)
     return (
         tab.weight[t] + tab.weight[b]
         + 2 * tab.ones[tab.z_of[t] & tab.x_of[b]]
         - tab.weight[t ^ b]
     ) & 3
+
+
+@lru_cache(maxsize=_TABLE_SITES + 1)
+def _product_table(n_sites: int) -> np.ndarray:
+    every = _tables(n_sites).strings
+    return _counted_power(n_sites, every[:, None], every)
+
+
+def product_power(n_sites: int, t, b):
+    """p with P_t P_b = i^p P_{t⊕b}, for broadcast index arrays t and b.
+
+    Up to _TABLE_SITES sites every product is looked up in a table of all
+    16^N pairs; on small models the bit counts would cost more in numpy
+    calls than in arithmetic.
+    """
+    if n_sites <= _TABLE_SITES:
+        table = _product_table(n_sites)
+        return table.ravel()[t * len(table) + b]
+    return _counted_power(n_sites, t, b)
 
 
 def strings(terms, n_sites: int) -> dict:
@@ -151,28 +180,30 @@ class PauliForm:
         return (by_x @ tab.hadamard).reshape(k, d * d)[:, tab.gather].T
 
 
-def _contributions(n_sites: int, cols, keys, ham, first, second, mu):
+def _contributions(n_sites: int, keys, ham, first, second, mu):
     """Left strings t and values v of the contributions v[b] P_t P_b to column b.
 
-    One row for each Hamiltonian string in ``keys`` (coefficients ``ham``),
-    then one for each jump pair (``first``, ``second``) with weight ``mu``.
+    One row for each Hamiltonian string in ``keys``, with ``ham`` its
+    coefficient times -2i, then one for each jump pair (``first``,
+    ``second``) with weight ``mu``.
     """
+    cols = _tables(n_sites).strings
     lefts = np.concatenate([keys, first ^ second])
     n_h, n_t = len(keys), len(lefts)
     # the powers of the left strings, then of the pairs' two strings
     power = product_power(n_sites, np.concatenate([lefts, first, second])[:, None], cols)
-    coeffs = np.empty((n_t, len(cols)), dtype=complex)
-    coeffs[:n_h] = -2j * ham[:, None] * (power[:n_h] & 1)
+    values = np.empty((n_t, len(cols)), dtype=complex)
+    values[:n_h] = ham[:, None] * _ODD_POW[power[:n_h]]
     if n_t > n_h:
         rows = np.arange(len(first))
         # P_c P_c' = i^p P_{c⊕c'}: the row of c, at column c'
         p_pair = power[n_t + rows, second]
         mu = mu[:, None]
-        anti = p_pair & 1  # the row of _PAIR_MU: 1 where P_c, P_c' anticommute
-        pair = (mu * _PAIR_MU[anti] + mu.conj() * _PAIR_CONJ[anti]) * _I_POW[p_pair][:, None]
+        pair = mu * _PAIR_MU[p_pair] + mu.conj() * _PAIR_CONJ[p_pair]
         odd = power[n_t:] & 1
-        coeffs[n_h:] = pair[rows[:, None], 2 * odd[: len(rows)] + odd[len(rows) :]]
-    return lefts, coeffs * _I_POW[power[:n_t]]
+        values[n_h:] = pair[rows[:, None], 2 * odd[: len(rows)] + odd[len(rows) :]]
+        values[n_h:] *= _I_POW[power[n_h:n_t]]
+    return lefts, values
 
 
 def _accumulate(total, flat, weights, size: int):
@@ -214,7 +245,6 @@ def generator_form(spec: ModelSpec) -> PauliForm:
     n_sites, d = spec.n_sites, spec.dim
     check_budget(d)
     n = d * d
-    cols = np.arange(n)
     ham = strings(spec.hamiltonian_terms, n_sites)
     # each jump's string pairs c <= c', with mu = λ_c conj(λ_c') halved
     # for c = c', where the two orders are one and the same term
@@ -226,7 +256,7 @@ def generator_form(spec: ModelSpec) -> PauliForm:
                 first.append(c)
                 second.append(c2)
                 mu.append(lam * lam2.conjugate() * (0.5 if c == c2 else 1.0))
-    keys, h_coeffs = np.array(list(ham), dtype=np.intp), np.array(list(ham.values()))
+    keys, h_coeffs = np.array(list(ham), dtype=np.intp), -2j * np.array(list(ham.values()))
     first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
     mu = np.array(mu)
     # rows are H's strings, then the pairs; a block takes rows lo..hi-1
@@ -237,9 +267,10 @@ def generator_form(spec: ModelSpec) -> PauliForm:
         hi = lo + step
         pairs = slice(max(lo - n_h, 0), max(hi - n_h, 0))
         lefts, values = _contributions(
-            n_sites, cols, keys[lo:hi], h_coeffs[lo:hi], first[pairs], second[pairs], mu[pairs]
+            n_sites, keys[lo:hi], h_coeffs[lo:hi], first[pairs], second[pairs], mu[pairs]
         )
-        flat = ((lefts[:, None] ^ cols) * n + cols).ravel()
+        # entry (t⊕b, b) is at (t⊕b)·n + b = t·n ⊕ (b·n + b), as n is a power of 2
+        flat = ((lefts * n)[:, None] ^ _tables(n_sites).diagonal).ravel()
         matrix = _accumulate(matrix, flat, values.real.ravel(), n * n)
         part = values.imag.ravel()
         if part.any():
