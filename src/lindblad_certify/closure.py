@@ -84,6 +84,15 @@ def algebra_closure(
     product is projected against every row accepted before it, in earlier
     blocks of the same round too, exactly as if the round were one block.
     The round stops as soon as the basis reaches the cap.
+
+    Before the first round the support of the words is fixed (see
+    word_support), and the basis stores, normalises and projects only those
+    entries. Every product is an exact 0.0 outside them, so the closure
+    sees the same candidates and takes the same decisions; inner products
+    just skip the zeros. Models with a strong symmetry diagonal in the
+    computational basis (parity, particle number) have half or fewer of
+    the d² entries in the support; without one it is all of them, and the
+    run is the unrestricted one.
     """
     gens = list(generators)
     if not gens:
@@ -98,7 +107,8 @@ def algebra_closure(
     if cap < 1:
         raise ValueError("max_basis must allow at least one vector")
 
-    basis = HSBasis(d)
+    gen_mats = [g.mat for g in gens]
+    basis = HSBasis(d, word_support(gen_mats))
     min_accepted = None
     max_rejected = None
 
@@ -117,7 +127,6 @@ def algebra_closure(
     seed_block = np.array([g.mat.ravel() for g in gens])
     accepted, ratios, _ = basis.extend_block(seed_block, tol, max_rows=cap)
     record(set(accepted), ratios)
-    gen_mats = [g.mat for g in gens]
     frontier = list(range(len(basis)))
     rounds = 0
 
@@ -149,6 +158,29 @@ def algebra_closure(
         min_accepted_ratio=min_accepted,
         max_rejected_ratio=max_rejected,
     )
+
+
+def word_support(gen_mats) -> np.ndarray:
+    """The d x d mask of entries at which some word in the generators can be nonzero.
+
+    Entry (i, j) of a word g_1 ... g_k sums products along index paths
+    i -> a_1 -> ... -> j whose every step is a nonzero entry of a
+    generator. So the support of all words, the closure of the generators'
+    nonzero patterns under P <- P ∪ G∘P ∪ P∘G, is the set of pairs joined by
+    a path of length at least 1 in the graph of their union: its transitive
+    closure, found by squaring the boolean matrix until it stops growing.
+    No tolerance enters; outside the mask every word is an exact zero.
+    """
+    reach = np.zeros(gen_mats[0].shape, dtype=bool)
+    for gmat in gen_mats:
+        reach |= gmat != 0
+    while True:
+        # path counts are at most d, so the float product is exact
+        step = reach.astype(float)
+        grown = reach | (step @ step > 0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def _factor_pairs(gen_mats, basis: HSBasis, frontier):

@@ -275,14 +275,32 @@ class HSBasis:
     within 1e-12 of the identity through a whole closure (tested): a family
     that drifts from orthonormal projects badly and then accepts roundoff as
     new directions.
+
+    ``support``, a boolean d x d mask, restricts the family to operators
+    that vanish outside it. Rows are then stored, normalised and projected
+    on the masked entries only, which drops exact zeros from every inner
+    product; the interface still speaks d x d: ``extend_block`` takes
+    d²-wide rows and refuses one with a nonzero entry outside the support,
+    and ``rows``, ``matrix_at`` and ``vectors`` give full matrices. A mask
+    that covers every entry is the unrestricted basis.
     """
 
-    def __init__(self, dim_space: int):
+    def __init__(self, dim_space: int, support=None):
         if dim_space < 1:
             raise ValueError("dim_space must be at least 1")
         self.dim_space = int(dim_space)
         d2 = self.dim_space**2
-        self._buf = np.empty((min(16, d2), d2), dtype=complex)
+        # flat indices of the stored entries, or None when every entry is
+        self._keep = None
+        if support is not None:
+            mask = np.asarray(support, dtype=bool)
+            if mask.shape != (self.dim_space, self.dim_space):
+                raise ValueError("support must be a d x d mask")
+            if not mask.all():
+                self._keep = np.flatnonzero(mask)
+                self._drop = ~mask.ravel()
+        self._width = d2 if self._keep is None else len(self._keep)
+        self._buf = np.empty((min(16, self._width), self._width), dtype=complex)
         self._n = 0
 
     @classmethod
@@ -302,25 +320,46 @@ class HSBasis:
         return self._n
 
     @property
+    def support(self) -> np.ndarray:
+        """The d x d mask of entries the vectors may be nonzero on."""
+        d = self.dim_space
+        if self._keep is None:
+            return np.ones((d, d), dtype=bool)
+        return ~self._drop.reshape(d, d)
+
+    def _full_width(self, stored: np.ndarray) -> np.ndarray:
+        """Stored rows with the zeros outside the support put back."""
+        if self._keep is None:
+            return stored
+        out = np.zeros(stored.shape[:-1] + (self.dim_space**2,), dtype=complex)
+        out[..., self._keep] = stored
+        return out
+
+    @property
     def rows(self) -> np.ndarray:
-        """Read-only view, shape (len, dim_space**2)."""
-        return self._buf[: self._n]
+        """The vectors as flattened rows, shape (len, dim_space**2).
+
+        A view of the storage for an unrestricted basis, a copy otherwise.
+        """
+        return self._full_width(self._buf[: self._n])
 
     def matrix_at(self, i: int) -> np.ndarray:
         d = self.dim_space
-        return self._buf[i].reshape(d, d)
+        return self._full_width(self._buf[i]).reshape(d, d)
 
     @property
     def vectors(self):
         return [Operator(self.matrix_at(i)) for i in range(self._n)]
 
     def gram(self) -> np.ndarray:
-        return self.rows.conj() @ self.rows.T
+        # the entries outside the support are zero in every vector
+        stored = self._buf[: self._n]
+        return stored.conj() @ stored.T
 
     def _append(self, row: np.ndarray):
         if self._n == self._buf.shape[0]:
             grown = np.empty(
-                (min(max(2 * self._buf.shape[0], 16), self.dim_space**2), self._buf.shape[1]),
+                (min(max(2 * self._buf.shape[0], 16), self._width), self._width),
                 dtype=complex,
             )
             grown[: self._n] = self._buf[: self._n]
@@ -348,6 +387,11 @@ class HSBasis:
         1976). Ratios are taken before that step, so it changes what is
         appended, never which candidates are accepted.
 
+        A basis with a support works on the supported entries alone, after
+        checking that every other entry of every candidate is zero. Once it
+        spans all of them the rest are dependent (ratio 0), as they are once
+        an unrestricted basis spans the whole space.
+
         Returns (accepted_positions, ratios, truncated) where ratios[j] is
         residual/(1 + ||candidate_j||) and truncated reports whether the
         max_rows cap stopped processing before the last candidate.
@@ -357,12 +401,21 @@ class HSBasis:
             raise ValueError("candidate block has wrong shape")
         if not np.isfinite(cands).all():
             raise ValueError("candidate contains non-finite entries")
+        if self._keep is None:
+            work = cands.copy()
+        elif cands[:, self._drop].any():
+            raise ValueError("candidate is nonzero outside the basis support")
+        else:
+            # the gather is a copy, and drops only exact zeros
+            work = cands[:, self._keep]
         cap = self.dim_space**2 if max_rows is None else min(max_rows, self.dim_space**2)
-        norms0 = np.linalg.norm(cands, axis=1)
-        work = cands.copy()
-        for _ in range(2):
-            if self._n:
-                work -= (work @ self.rows.conj().T) @ self.rows
+        norms0 = np.linalg.norm(work, axis=1)
+        stored = self._buf[: self._n]
+        # a basis that spans its whole support takes no candidate (see the
+        # loop), so projecting onto it would be wasted
+        if 0 < self._n < self._width:
+            for _ in range(2):
+                work -= (work @ stored.conj().T) @ stored
         norms1 = np.linalg.norm(work, axis=1)
         n0 = self._n
         accepted = []
@@ -376,6 +429,9 @@ class HSBasis:
                     truncated = True
                     ratios[j:] = np.nan
                 # else: the span is complete, the rest are dependent (ratio 0)
+                break
+            if self._n == self._width:
+                # the span is the whole support: the same, within it
                 break
             r = work[j]
             if self._n > n0:

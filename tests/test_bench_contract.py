@@ -136,3 +136,32 @@ def test_kernel_span_counts_a_real_call(bench):
         tracer.uninstall()
     counts = [span[5] for span in tracer.spans if span[0] == "liouvillian.kernel_and_values"]
     assert counts == [{"matrix_dim": 64}]
+
+
+@pytest.mark.parametrize(
+    "builtin, params, rounds, rows_in, rows_accepted",
+    [
+        ("tfim_boundary_dephasing", "TFIM_EXAMPLE", 15, 962, 256),
+        ("xyz_bulk_dephasing", "XYZ_EXAMPLE", 5, 1285, 128),
+        ("xyz_bulk_dephasing", "FALSE_CERTIFICATE_WITNESS", 5, 1285, 128),
+    ],
+    ids=["tfim4", "xyz4", "witness"],
+)
+def test_closure_work_is_pinned(bench, builtin, params, rounds, rows_in, rows_accepted):
+    # the closure's candidates and acceptances, as the extend_block span
+    # counter sees them; a cheaper closure must make each candidate cheaper,
+    # not form fewer of them
+    spans, _ = bench
+    workloads = importlib.import_module("workloads")
+    params = {"N": 4, **getattr(workloads, params)}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        closure = lindblad_certify.certify_uniqueness(
+            lindblad_certify.build_builtin(builtin, params)).closure
+    finally:
+        tracer.uninstall()
+    counts = [span[5] for span in tracer.spans if span[0] == "opalg.HSBasis.extend_block"]
+    assert closure.rounds == rounds
+    assert sum(c["rows_in"] for c in counts) == rows_in
+    assert sum(c["rows_accepted"] for c in counts) == rows_accepted

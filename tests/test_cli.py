@@ -393,11 +393,16 @@ class TestDeterminism:
 
 class TestSubprocess:
     def test_module_entry_point(self):
+        # the package is imported from src/, which pytest's own pythonpath
+        # setting does not hand to a child process
+        src = str(Path(lindblad_certify.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "lindblad_certify", "check"] + TWO_LEVEL,
             capture_output=True,
             text=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "certified_unique" in proc.stdout

@@ -1,9 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindblad_certify import closure
+from lindblad_certify.cli import run
 from lindblad_certify.closure import (
     CERTIFIED_UNIQUE,
     INCONCLUSIVE,
@@ -17,6 +20,7 @@ from lindblad_certify.closure import (
     commutant,
     effective_hamiltonian,
     restricted_closure,
+    word_support,
 )
 from lindblad_certify.liouvillian import assemble, kernel_and_values
 from lindblad_certify.modelspec import (
@@ -31,7 +35,7 @@ from lindblad_certify.modelspec import (
     two_level_gain_loss,
     xyz_bulk_dephasing,
 )
-from lindblad_certify.opalg import SINGLE_SITE, HSBasis, Operator
+from lindblad_certify.opalg import PAULI_LETTERS, SINGLE_SITE, HSBasis, Operator
 from lindblad_certify.symmetry import (
     parity_z_operator,
     sector_decompose,
@@ -422,3 +426,106 @@ class TestStreamedClosure:
         # no block is formed once the basis is at the cap
         assert sizes_after[-1] == 40
         assert max(sizes_after[:-1]) < 40
+
+
+def words_rank(gen_mats, support, threshold=1e-7):
+    """Dimension of the span of all words, by dense SVDs on all d² entries.
+
+    Level k holds words of length k; a word is kept when it raises the SVD
+    rank of the kept words, so the kept words always span every word of
+    length at most k. Once a level keeps nothing, longer words add nothing.
+    Every word formed is checked to vanish outside ``support``.
+    """
+    kept = np.zeros((0, gen_mats[0].size), dtype=complex)
+    level = list(gen_mats)
+    while level:
+        fresh = []
+        for word in level:
+            assert not word[~support].any()
+            stack = np.vstack([kept, word.ravel()])
+            svals = np.linalg.svd(stack, compute_uv=False)
+            if np.sum(svals > threshold) > len(kept):
+                unit = word / np.linalg.norm(word)
+                kept = np.vstack([kept, unit.ravel()])
+                fresh.append(unit)
+        level = [g @ w for g in gen_mats for w in fresh]
+    return len(kept)
+
+
+COEFFS = (1.0, -1.0, 0.5, 2.0, 1.5, 1j, -0.5j)
+
+
+@st.composite
+def sparse_terms(draw, n_sites, max_terms):
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        sites = draw(st.sets(st.integers(1, n_sites), min_size=1, max_size=n_sites))
+        factors = [(s, draw(st.sampled_from(PAULI_LETTERS))) for s in sorted(sites)]
+        terms.append(PauliTerm(draw(st.sampled_from(COEFFS)), factors))
+    return terms
+
+
+@st.composite
+def sparse_models(draw):
+    n_sites = draw(st.integers(1, 2))
+    ham = draw(sparse_terms(n_sites, 3)) if draw(st.booleans()) else []
+    jumps = [(f"L{m}", draw(sparse_terms(n_sites, 2))) for m in range(draw(st.integers(1, 2)))]
+    return ModelSpec(n_sites, ham, jumps)
+
+
+class TestWordSupport:
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            (xyz3, 32),
+            (lambda: tight_binding_dephasing(3, 1.0, 0.3, 0.5), 20),
+            (lambda: tfim_boundary_dephasing(3, 1.0, 0.5), 64),
+        ],
+        ids=["xyz", "tight_binding", "tfim"],
+    )
+    def test_support_size_at_three_sites(self, build, size):
+        res = certify_uniqueness(build()).closure
+        assert res.basis.support.sum() == size
+        assert res.full_dim_target == 64
+
+    @pytest.mark.parametrize("build", [xyz3, parity_witness], ids=["xyz3", "witness"])
+    def test_rows_and_products_vanish_outside_the_support(self, build):
+        gens = [g.mat for g in certifier_generators(build())]
+        d = len(gens[0])
+        res = algebra_closure([Operator(g) for g in gens], d)
+        outside = ~res.basis.support
+        assert outside.any()
+        assert not res.basis.rows[:, outside.ravel()].any()
+        for b in (res.basis.matrix_at(i) for i in range(len(res.basis))):
+            for g in gens:
+                assert not (g @ b)[outside].any() and not (b @ g)[outside].any()
+
+    def test_support_is_the_union_of_word_patterns(self):
+        a = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+        b = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        # words: a, b, ab (entry (0, 2)); ba = a² = b² = 0
+        expected = np.zeros((3, 3), dtype=bool)
+        expected[0, 1] = expected[1, 2] = expected[0, 2] = True
+        assert np.array_equal(word_support([a, b]), expected)
+
+    def test_all_zero_model_spans_nothing(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "n_sites": 2,
+            "hamiltonian": [],
+            "lindblad": [{"label": "L", "terms": [
+                {"coeff": [0, 0], "factors": [{"site": 1, "op": "X"}]}]}],
+        }))
+        assert run(["check", "--model", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "generated 0 of 16 dimensions in 0 round(s), saturated" in out
+        assert "min accepted ratio n/a, max rejected ratio n/a" in out
+
+    @given(sparse_models())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_dim_is_the_rank_of_the_words(self, spec):
+        gens = certifier_generators(spec)
+        res = algebra_closure(gens, spec.dim)
+        support = word_support([g.mat for g in gens])
+        assert np.array_equal(res.basis.support, support)
+        assert res.generated_dim == words_rank([g.mat for g in gens], support)

@@ -317,3 +317,95 @@ class TestHSBasis:
         accepted, ratios, truncated = basis.extend_block(stacked, 1e-9, max_rows=4)
         assert len(basis) == 4
         assert truncated
+
+
+def block_mask(d):
+    """Entries (i, j) with i and j of equal parity: two diagonal blocks."""
+    idx = np.arange(d)
+    return (idx[:, None] % 2) == (idx[None, :] % 2)
+
+
+def supported_operator(rng, mask):
+    return Operator(random_operator(rng, len(mask)).mat * mask)
+
+
+class TestSupportedBasis:
+    def test_refuses_a_row_outside_the_support(self):
+        mask = block_mask(4)
+        basis = HSBasis(4, mask)
+        outside = np.zeros((4, 4), dtype=complex)
+        outside[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="outside the basis support"):
+            basis.extend_block(outside.reshape(1, -1), 1e-9)
+        assert len(basis) == 0
+
+    def test_rows_are_zero_outside_the_support(self):
+        rng = np.random.default_rng(8)
+        mask = block_mask(4)
+        basis = HSBasis(4, mask)
+        cands = np.array([supported_operator(rng, mask).mat.ravel() for _ in range(12)])
+        basis.extend_block(cands, 1e-9)
+        assert len(basis) == mask.sum() == 8
+        assert not basis.rows[:, ~mask.ravel()].any()
+        assert np.array_equal(basis.support, mask)
+
+    def test_full_matrices_round_trip(self):
+        rng = np.random.default_rng(9)
+        mask = block_mask(4)
+        basis = HSBasis(4, mask)
+        cands = np.array([supported_operator(rng, mask).mat.ravel() for _ in range(5)])
+        basis.extend_block(cands, 1e-9)
+        rows = basis.rows
+        assert rows.shape == (5, 16)
+        for i, vec in enumerate(basis.vectors):
+            assert vec.mat.shape == (4, 4)
+            assert np.array_equal(vec.mat, basis.matrix_at(i))
+            assert np.array_equal(vec.mat.ravel(), rows[i])
+        copy = HSBasis.from_orthonormal(basis.vectors)
+        assert np.array_equal(copy.rows, rows)
+        assert np.array_equal(copy.gram(), basis.gram())
+        assert np.linalg.norm(basis.gram() - np.eye(5)) < 1e-12
+
+    def test_spans_what_the_unrestricted_basis_spans(self):
+        rng = np.random.default_rng(10)
+        mask = block_mask(4)
+        cands = np.array([supported_operator(rng, mask).mat.ravel() for _ in range(6)])
+        # a dependent row: a combination of the first two
+        cands = np.vstack([cands, 2 * cands[0] - 1j * cands[1]])
+        plain, kept = HSBasis(4), HSBasis(4, mask)
+        a_plain, r_plain, _ = plain.extend_block(cands, 1e-9)
+        a_kept, r_kept, _ = kept.extend_block(cands, 1e-9)
+        assert a_plain == a_kept == [0, 1, 2, 3, 4, 5]
+        assert np.allclose(r_plain, r_kept, rtol=1e-12, atol=1e-15)
+        assert np.allclose(plain.rows, kept.rows, atol=1e-14)
+
+    def test_a_filled_support_accepts_nothing_more(self):
+        rng = np.random.default_rng(12)
+        mask = block_mask(2)
+        basis = HSBasis(2, mask)
+        cands = np.array([supported_operator(rng, mask).mat.ravel() for _ in range(4)])
+        accepted, ratios, truncated = basis.extend_block(cands, 1e-9)
+        assert accepted == [0, 1] and not truncated
+        # as in a full space: the rest are dependent, with ratio 0
+        assert len(basis) == 2 and not ratios[2:].any()
+        before = basis.rows.copy()
+        accepted, ratios, truncated = basis.extend_block(cands, 1e-9)
+        assert accepted == [] and not ratios.any() and not truncated
+        assert np.array_equal(basis.rows, before)
+
+    def test_a_full_mask_is_the_unrestricted_basis(self):
+        rng = np.random.default_rng(13)
+        cands = np.array([random_operator(rng, 3).mat.ravel() for _ in range(7)])
+        plain, masked = HSBasis(3), HSBasis(3, np.ones((3, 3), dtype=bool))
+        assert plain.extend_block(cands, 1e-9)[0] == masked.extend_block(cands, 1e-9)[0]
+        assert plain.rows.tobytes() == masked.rows.tobytes()
+
+    def test_an_empty_support_spans_nothing(self):
+        basis = HSBasis(2, np.zeros((2, 2), dtype=bool))
+        accepted, ratios, _ = basis.extend_block(np.zeros((2, 4)), 1e-9)
+        assert accepted == [] and not ratios.any()
+        assert basis.rows.shape == (0, 4) and basis.gram().shape == (0, 0)
+
+    def test_support_must_be_square_of_the_dimension(self):
+        with pytest.raises(ValueError, match="d x d"):
+            HSBasis(2, np.ones(4, dtype=bool))
