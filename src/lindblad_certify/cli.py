@@ -447,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-basis", type=int, default=None, help="cap on the closure basis size"
     )
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
+    common.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized trials, >= 0"
+    )
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
 
     parser = argparse.ArgumentParser(
@@ -479,6 +481,10 @@ def run(argv=None) -> int:
     if not 0 < args.tol < 1:
         # every closure ratio is below 1, so no tol >= 1 accepts anything
         print("error: --tol must lie strictly between 0 and 1", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        # the trials' generator takes only non-negative seeds
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return 2
 
     try:

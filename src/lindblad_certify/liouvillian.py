@@ -23,6 +23,15 @@ from .opalg import RESOLUTION, Operator, at_resolution
 
 DEFAULT_MAX_DIM = 2**8
 
+# kernel_and_values takes the vectors of blocks up to this size in the same
+# LAPACK call as their values. Larger blocks take values only, and the few
+# that reach below the cutoff are factorised again with vectors. Measured
+# per call on the forms the benchmark solves (1 BLAS thread): with every
+# block values-first, d = 2 Pauli forms (2 x 2 blocks) take 93 instead of
+# 81 us; with 32 instead of 16, d = 8 forms (blocks of 20 to 32) take 355
+# instead of 268 us.
+VECTORS_WITH_VALUES = 16
+
 
 class NumericalFailure(RuntimeError):
     """A linear-algebra step produced an unusable result."""
@@ -37,19 +46,25 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
+def effective_hamiltonian(ham: np.ndarray, jumps) -> np.ndarray:
+    """K = H - (i/2) sum_m L_m† L_m."""
+    k = ham.astype(complex)
+    for jump in jumps:
+        k -= 0.5j * (jump.conj().T @ jump)
+    return k
+
+
 def apply_matrices(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
     """Generator action from raw matrices; the workhorse behind apply().
 
     Written as -i(K rho - rho K†) + sum_m L_m rho L_m† with the effective
-    Hamiltonian K = H - (i/2) sum_m L_m† L_m, so each jump costs two
+    Hamiltonian K of effective_hamiltonian, so each jump costs two
     products with rho. ``rho`` may be a stack of matrices.
     """
-    k = ham.astype(complex)
+    k = effective_hamiltonian(ham, jumps)
     out = np.zeros(np.shape(rho), dtype=complex)
     for jump in jumps:
-        jdag = jump.conj().T
-        k -= 0.5j * (jdag @ jump)
-        out += jump @ rho @ jdag
+        out += jump @ rho @ jump.conj().T
     # the jump terms are summed first: for rho = 1 on a one-dimensional
     # space they then cancel the anticommutator exactly
     out -= 1j * (k @ rho - rho @ k.conj().T)
@@ -229,13 +244,23 @@ def _blocks(re: np.ndarray):
     return [np.array(by_size[size]) for size in sorted(by_size)]
 
 
-def _block_svd(re: np.ndarray, idx: np.ndarray):
-    """Stacked singular values and right vectors of re[np.ix_(b, b)], b in idx."""
+def _block_svd(re: np.ndarray, idx: np.ndarray, vectors: bool):
+    """Stacked singular values of re[np.ix_(b, b)] for b in idx, descending.
+
+    With ``vectors``, also the stacked right singular vectors; else None in
+    their place, and LAPACK computes the values only.
+    """
     if idx.shape[1] == 1:
         # a 1 x 1 block is its own SVD: |x|, with right vector 1
         return np.abs(re[idx, idx]), np.ones((len(idx), 1, 1))
-    _, svals, vh = np.linalg.svd(re[idx[:, :, None], idx[:, None, :]])
-    return svals, vh
+    stack = re[idx[:, :, None], idx[:, None, :]]
+    try:
+        if vectors:
+            _, svals, vh = np.linalg.svd(stack)
+            return svals, vh
+        return np.linalg.svd(stack, compute_uv=False), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD failed: {exc}") from exc
 
 
 def kernel_and_values(form, tol: float = 1e-9):
@@ -266,14 +291,23 @@ def kernel_and_values(form, tol: float = 1e-9):
     are superoperator symmetry sectors, and the Pauli strings show more of
     them than the matrix units: at N = 5 tfim splits into 11 blocks of
     sizes C(10, k), the largest 252, and xyz into (1, 1, 510, 512), the
-    identity and the parity string being steady on their own. `ness` at
-    N = 6 then takes 1.9 s for tfim, 7.6 s for xyz and 0.9 s for tight
-    binding (2-vCPU host, 2 OpenBLAS threads; README, Limitations). Each
-    block is solved by a real SVD, blocks of one size as one stack, and one
+    identity and the parity string being steady on their own. Each block
+    is solved by a real SVD, blocks of one size as one stack, and one
     cutoff, with sigma_max the largest over all blocks, decides the rank of
-    every block, exactly as for the whole matrix. The kernel rows are
-    embedded and mapped back to complex column-stacked vectors, each a
-    Hermitian matrix (except the zero generator's identity).
+    every block, exactly as for the whole matrix.
+
+    Blocks larger than VECTORS_WITH_VALUES take their singular values
+    first, without vectors. Once the cutoff is known, only the blocks with
+    a value under it are factorised again, with vectors, by the same call
+    that takes them at once, so the kernel rows are the same either way.
+    A single block must hold the steady state and takes its vectors at
+    once. Most blocks hold no kernel vector: xyz's 510 and 512 blocks at
+    N = 5, and 2046 and 2048 at N = 6, take their values only, and `ness`
+    at N = 6 takes 4.8-5.1 s for xyz, 1.6-1.7 s for tfim and 1.2-1.4 s for
+    tight binding (wall, 2-vCPU host, 2 OpenBLAS threads; README,
+    Limitations). The kernel rows are embedded and mapped back to complex
+    column-stacked vectors, each a Hermitian matrix (except the zero
+    generator's identity).
     """
     n = len(form.matrix)
     re, imag_norm = form.real_form()
@@ -281,10 +315,12 @@ def kernel_and_values(form, tol: float = 1e-9):
         # the zero generator: everything is steady
         return np.eye(n, dtype=complex), np.zeros(n)
     groups = _blocks(re)
-    try:
-        solved = [(idx, *_block_svd(re, idx)) for idx in groups]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
+    # a single block holds the steady state, so it needs its vectors
+    whole = len(groups) == 1 and len(groups[0]) == 1
+    solved = [
+        (idx, *_block_svd(re, idx, whole or idx.shape[1] <= VECTORS_WITH_VALUES))
+        for idx in groups
+    ]
     svals = np.sort(np.concatenate([s.ravel() for _, s, _ in solved]))[::-1]
     smax = float(svals[0])
     if imag_norm > RESOLUTION * tol * smax:
@@ -295,9 +331,15 @@ def kernel_and_values(form, tol: float = 1e-9):
     cutoff = tol * smax
     picked = []
     for idx, s, vh in solved:
-        blk, row = np.nonzero(s < cutoff)
-        if len(blk):
-            picked.append((idx[blk], vh[blk, row]))
+        below = s < cutoff
+        hit = below.any(axis=1)
+        if not hit.any():
+            continue
+        # only the blocks that reach below the cutoff are factorised again,
+        # by the same call as with vectors at once, so their rows are the same
+        vh = _block_svd(re, idx[hit], True)[1] if vh is None else vh[hit]
+        blk, row = np.nonzero(below[hit])
+        picked.append((idx[hit][blk], vh[blk, row]))
     k = sum(len(vals) for _, vals in picked)
     if k == 0:
         raise NumericalFailure(

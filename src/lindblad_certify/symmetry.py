@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .liouvillian import apply_matrices
+from .liouvillian import effective_hamiltonian
 from .modelspec import ModelSpec
 from .opalg import Operator, PauliTerm, pauli_to_operator
 
@@ -182,6 +182,12 @@ def verify_invariant_blocks(
     other blocks measured. Gated on the symmetry actually holding: when it
     does not, the block structure is meaningless and the check reports
     "skipped" rather than a spurious failure.
+
+    The generator is applied in the sector frame F, the isometries side by
+    side: with K_f = F† K F and L_f = F† L_m F, an operator F X F† maps to
+    F Y F† with Y = -i(K_f X - X K_f†) + sum_m L_f X L_f†. A trial X is
+    nonzero in its block (a, b) only, so each product takes only the
+    columns a or b of the rotated matrices.
     """
     check = verify_strong_symmetry(sectors.unitary, spec, tol=1e-8)
     if not check.ok:
@@ -196,20 +202,30 @@ def verify_invariant_blocks(
     rng = np.random.default_rng(seed)
     ham, jumps = spec.operators()
     jump_mats = [j.mat for j in jumps]
-    isos = sectors.isometries
-    frame = np.concatenate(isos, axis=1)
+    frame = np.concatenate(sectors.isometries, axis=1)
+    frame_h = frame.conj().T
+    k_f = frame_h @ effective_hamiltonian(ham.mat, jump_mats) @ frame
+    jumps_f = [frame_h @ jump @ frame for jump in jump_mats]
+    # the rows of K_f† and L_f†, for the products on the right of X
+    k_fh = k_f.conj().T
+    jumps_fh = [l_f.conj().T for l_f in jumps_f]
     edges = np.cumsum([0] + sectors.dims)
+    ranges = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    shape = (trials, len(frame_h), len(frame_h))
     max_leak = 0.0
-    for a, iso_a in enumerate(isos):
-        for b, iso_b in enumerate(isos):
+    for a, rows in enumerate(ranges):
+        for b, cols in enumerate(ranges):
             # all trials at once; per trial, the real part is drawn before
             # the imaginary part
-            z = rng.standard_normal((trials, 2, iso_a.shape[1], iso_b.shape[1]))
+            z = rng.standard_normal((trials, 2, sectors.dims[a], sectors.dims[b]))
             x = z[:, 0] + 1j * z[:, 1]
             x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
-            out = apply_matrices(ham.mat, jump_mats, iso_a @ x @ iso_b.conj().T)
-            blocks = frame.conj().T @ out @ frame
-            blocks[:, edges[a] : edges[a + 1], edges[b] : edges[b + 1]] = 0.0
+            blocks = np.zeros(shape, dtype=complex)
+            for l_f, l_fh in zip(jumps_f, jumps_fh):
+                blocks += (l_f[:, rows] @ x) @ l_fh[cols]
+            blocks[:, :, cols] -= 1j * (k_f[:, rows] @ x)
+            blocks[:, rows, :] += 1j * (x @ k_fh[cols])
+            blocks[:, rows, cols] = 0.0
             sq = np.abs(blocks) ** 2
             norms = np.add.reduceat(np.add.reduceat(sq, edges[:-1], axis=1), edges[:-1], axis=2)
             max_leak = max(max_leak, float(np.sqrt(norms.max())))

@@ -163,6 +163,16 @@ class TestExitCodes:
                 assert "Traceback" not in captured.err
                 assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["check", "ness", "sectors", "commutant", "spectrum", "full"])
+    def test_negative_seed(self, command, capsys):
+        for flags in ([], ["--json"]):
+            argv = [command] + XYZ3 + ["--seed", "-1"] + flags
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert "--seed must be a non-negative integer" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_numerical_failure_is_three(self, tmp_path, capsys):
         path = tmp_path / "non_hermitian.json"
         path.write_text(serialize_model(non_hermitian_two_level()))

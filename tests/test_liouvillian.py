@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from lindblad_certify import liouvillian
 from lindblad_certify.liouvillian import (
     LiouvillianMatrix,
     NumericalFailure,
@@ -25,8 +28,12 @@ from lindblad_certify.modelspec import (
     compass_dephasing,
 )
 from lindblad_certify.opalg import Operator, PauliTerm, pauli_to_operator
-from lindblad_certify.pauli import PauliForm
-from lindblad_certify.symmetry import parity_z_operator, sector_decompose
+from lindblad_certify.pauli import PauliForm, generator_form
+from lindblad_certify.symmetry import (
+    parity_z_operator,
+    sector_decompose,
+    u1_number_operator,
+)
 
 
 def random_rho(rng, d):
@@ -355,6 +362,91 @@ class TestBlockedKernel:
         lm = LiouvillianMatrix(d=2, matrix=np.kron(np.eye(2), x))
         with pytest.raises(NumericalFailure, match="Hermiticity"):
             kernel_and_values(lm, 1e-9)
+
+
+def sector_forms():
+    """Matrix-unit forms of the parity and particle-number sectors at N = 4."""
+    cases = [
+        (xyz_bulk_dephasing(4, 1.0, 0.5, 0.3, 0.7, 1.0), parity_z_operator(4)),
+        (tight_binding_dephasing(4, 1.0, 0.3, 0.8), u1_number_operator(4)),
+    ]
+    forms = []
+    for spec, s_op in cases:
+        sectors = sector_decompose(s_op)
+        ham, jumps = spec.operators()
+        l_blocks = [sectors.restrict(j.mat) for j in jumps]
+        for a, h_block in enumerate(sectors.restrict(ham.mat)):
+            forms.append(assemble_matrices(h_block, [blocks[a] for blocks in l_blocks]))
+    return forms
+
+
+class TestValuesFirst:
+    """Blocks above VECTORS_WITH_VALUES take their values first, and vectors
+    only when a value falls under the cutoff."""
+
+    @pytest.mark.parametrize(
+        "name,params", BUILTINS_UP_TO_N3 + BUILTINS_AT_N4,
+        ids=[f"{name}-N{params.get('N', 1)}" for name, params in BUILTINS_UP_TO_N3 + BUILTINS_AT_N4],
+    )
+    def test_builtin_kernels_equal_the_full_svd_path(self, name, params, monkeypatch):
+        spec = build_builtin(name, params)
+        self.assert_equal_to_full_svd_path([generator_form(spec), assemble(spec)], monkeypatch)
+
+    def test_sector_kernels_equal_the_full_svd_path(self, monkeypatch):
+        self.assert_equal_to_full_svd_path(sector_forms(), monkeypatch)
+
+    @staticmethod
+    def assert_equal_to_full_svd_path(forms, monkeypatch):
+        # the reference takes every block's vectors in its first call; the
+        # same kernel must come out with the default crossover and with
+        # every stack of blocks solved values first
+        for form in forms:
+            for tol in (1e-9, 1e-12):
+                with monkeypatch.context() as patch:
+                    patch.setattr(liouvillian, "VECTORS_WITH_VALUES", math.inf)
+                    ref, _ = kernel_and_values(form, tol)
+                for crossover in (liouvillian.VECTORS_WITH_VALUES, 0):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(liouvillian, "VECTORS_WITH_VALUES", crossover)
+                        vecs, svals = kernel_and_values(form, tol)
+                    assert np.array_equal(vecs, ref)
+                    # the zero generator (a 1-dimensional sector) is all kernel
+                    below = svals < tol * svals[0] if svals[0] else svals == 0
+                    assert vecs.shape[1] == np.count_nonzero(below)
+
+    @pytest.mark.parametrize(
+        "name,params", BUILTINS_UP_TO_N3 + BUILTINS_AT_N4,
+        ids=[f"{name}-N{params.get('N', 1)}" for name, params in BUILTINS_UP_TO_N3 + BUILTINS_AT_N4],
+    )
+    def test_values_match_the_dense_real_form(self, name, params):
+        spec = build_builtin(name, params)
+        for form in (generator_form(spec), assemble(spec)):
+            _, svals = kernel_and_values(form, 1e-9)
+            ref = np.linalg.svd(form.real_form()[0], compute_uv=False)
+            # the dense reference is itself accurate to about n ulps of sigma_max
+            assert np.abs(svals - ref).max() <= len(ref) * np.finfo(float).eps * ref[0]
+
+    def test_blocks_above_the_cutoff_take_no_vectors(self, monkeypatch):
+        # xyz at N = 5 splits into (1, 1, 510, 512); the kernel is the two
+        # 1 x 1 blocks, so the large blocks need their values only
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            result = svd(a, *args, **kwargs)
+            vectors = kwargs.get("compute_uv", True)
+            calls.append((a.shape, vectors, result[1] if vectors else result))
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        form = generator_form(xyz_bulk_dephasing(5, 1.0, 0.5, 0.3, 0.7, 1.0))
+        vecs, svals = kernel_and_values(form, 1e-9)
+        cutoff = 1e-9 * svals[0]
+        assert vecs.shape[1] == 2
+        assert sorted(shape for shape, _, _ in calls) == [(1, 510, 510), (1, 512, 512)]
+        for shape, vectors, values in calls:
+            if vectors:
+                assert (values.min(axis=-1) < cutoff).all(), shape
 
 
 class TestApplyMatricesConsistency:

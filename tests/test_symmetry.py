@@ -11,7 +11,7 @@ from lindblad_certify.modelspec import (
     tight_binding_dephasing,
     xyz_bulk_dephasing,
 )
-from lindblad_certify.opalg import Operator, PauliTerm
+from lindblad_certify.opalg import Operator, PauliTerm, pauli_to_operator
 from lindblad_certify.symmetry import (
     BlockCheck,
     SectorDecomposition,
@@ -47,6 +47,33 @@ def loop_max_leak(spec, sectors, trials, seed):
                             leak = np.linalg.norm(iso_ap.conj().T @ out @ iso_bp)
                             max_leak = max(max_leak, float(leak))
     return max_leak
+
+
+def dense_frame_case(field=0.0):
+    """A strong symmetry whose sector frame has no zero entry.
+
+    S = X_1 X_2 X_3 commutes with an xyz chain without field and with X_j
+    dephasing. Its sector bases are each rotated by a random unitary inside
+    the sector, so the frame is far from a permutation of the computational
+    basis. A ``field`` on Z_1 in H and on Z_2 in L_1 breaks the symmetry by
+    that much, in H, in L_1 and in L_1† L_1, so that every term of the
+    generator leaks into the same blocks.
+    """
+    ham = [PauliTerm(c, [(j, p), (j + 1, p)])
+           for j in (1, 2) for p, c in (("X", 1.0), ("Y", 0.5), ("Z", 0.3))]
+    jumps = [(f"L_{j}", [PauliTerm(0.8, [(j, "X")])]) for j in (1, 2, 3)]
+    if field:
+        ham.append(PauliTerm(field, [(1, "Z")]))
+        jumps[0][1].append(PauliTerm(field, [(2, "Z")]))
+    s_op = pauli_to_operator([PauliTerm(1.0, [(j, "X") for j in (1, 2, 3)])], 3)
+    sectors = sector_decompose(s_op)
+    rng = np.random.default_rng(2)
+    isos = []
+    for iso in sectors.isometries:
+        z = rng.standard_normal((2, iso.shape[1], iso.shape[1]))
+        isos.append(iso @ np.linalg.qr(z[0] + 1j * z[1])[0])
+    assert np.all(np.abs(np.concatenate(isos, axis=1)) > 1e-3)
+    return ModelSpec(3, ham, jumps), SectorDecomposition(sectors.eigenvalues, isos, s_op)
 
 
 class TestConstructors:
@@ -253,21 +280,22 @@ class TestInvariantBlocks:
         assert result.status == "passed"
 
     @pytest.mark.parametrize(
-        "spec,s_op",
+        "spec,sectors",
         [
-            (tight_binding_dephasing(3, 1.0, 0.3, 0.8), u1_number_operator(3)),
+            (tight_binding_dephasing(3, 1.0, 0.3, 0.8), sector_decompose(u1_number_operator(3))),
             # parity broken by 1e-9 X_1: the commutators pass the 1e-8
             # check, the blocks leak at about 1e-9
             (
                 ModelSpec(3, xyz3().hamiltonian_terms + [PauliTerm(1e-9, [(1, "X")])],
                           xyz3().lindblad_ops),
-                parity_z_operator(3),
+                sector_decompose(parity_z_operator(3)),
             ),
+            dense_frame_case(),
+            dense_frame_case(field=1e-9),
         ],
-        ids=["tight_binding_n3", "broken_parity"],
+        ids=["tight_binding_n3", "broken_parity", "dense_frame", "broken_dense_frame"],
     )
-    def test_batched_trials_match_the_loop(self, spec, s_op):
-        sectors = sector_decompose(s_op)
+    def test_batched_trials_match_the_loop(self, spec, sectors):
         expected = loop_max_leak(spec, sectors, trials=7, seed=3)
         result = verify_invariant_blocks(spec, sectors, trials=7, seed=3)
         assert result.status == ("passed" if expected <= 1e-10 else "failed")
