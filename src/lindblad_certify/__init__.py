@@ -6,16 +6,13 @@ from .opalg import (
     Operator,
     PauliTerm,
     HSBasis,
-    hs_inner,
     pauli_to_operator,
-    jordan_wigner,
 )
 from .modelspec import (
     ModelSpec,
     ModelParseError,
     ModelValidationError,
     parse_model,
-    serialize_model,
     load_model,
     build_builtin,
     BUILDERS,
@@ -23,8 +20,7 @@ from .modelspec import (
 from .liouvillian import (
     NumericalFailure,
     LiouvillianMatrix,
-    apply,
-    assemble,
+    effective_hamiltonian,
     spectrum,
     kernel_and_values,
 )
@@ -42,7 +38,6 @@ from .closure import (
     INCONCLUSIVE,
     ClosureResult,
     algebra_closure,
-    effective_hamiltonian,
     certifier_generators,
     UniquenessCertificate,
     certify_uniqueness,
@@ -55,11 +50,9 @@ from .ness import (
     NONTRIVIAL_COMMUTANT,
     ConsistencyCheck,
     SectorReport,
-    KernelInvarianceReport,
     NessReport,
     steady_states,
     per_sector_ness,
-    kernel_invariance_diagnostic,
     full_verdict,
 )
 
@@ -69,23 +62,19 @@ __all__ = [
     "Operator",
     "PauliTerm",
     "HSBasis",
-    "hs_inner",
     "pauli_to_operator",
-    "jordan_wigner",
     # model descriptions
     "ModelSpec",
     "ModelParseError",
     "ModelValidationError",
     "parse_model",
-    "serialize_model",
     "load_model",
     "build_builtin",
     "BUILDERS",
     # generator matrices
     "NumericalFailure",
     "LiouvillianMatrix",
-    "apply",
-    "assemble",
+    "effective_hamiltonian",
     "spectrum",
     "kernel_and_values",
     # symmetry sectors
@@ -101,7 +90,6 @@ __all__ = [
     "INCONCLUSIVE",
     "ClosureResult",
     "algebra_closure",
-    "effective_hamiltonian",
     "certifier_generators",
     "UniquenessCertificate",
     "certify_uniqueness",
@@ -113,10 +101,8 @@ __all__ = [
     "NONTRIVIAL_COMMUTANT",
     "ConsistencyCheck",
     "SectorReport",
-    "KernelInvarianceReport",
     "NessReport",
     "steady_states",
     "per_sector_ness",
-    "kernel_invariance_diagnostic",
     "full_verdict",
 ]

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .closure import INCONCLUSIVE, ClosureResult
-from .liouvillian import NumericalFailure, assemble, spectrum
+from .liouvillian import NumericalFailure, spectrum
 from .modelspec import (
     ModelParseError,
     ModelSpec,
@@ -54,6 +54,7 @@ from .modelspec import (
 )
 from .ness import NessReport, _run_stages, full_verdict, per_sector_ness, steady_states
 from .opalg import at_resolution
+from .pauli import generator_form
 from .symmetry import verify_invariant_blocks
 
 SCHEMA_VERSION = "1"
@@ -394,7 +395,7 @@ COMMANDS = {
     ),
     "spectrum": Command(
         "eigenvalues of the vectorized generator",
-        lambda spec, cfg: spectrum(assemble(spec), cfg.tol),
+        lambda spec, cfg: spectrum(generator_form(spec), cfg.tol),
         _spectrum_report,
         _spectrum_lines,
     ),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .liouvillian import effective_hamiltonian
 from .modelspec import ModelSpec
 from .opalg import HSBasis, Operator
 from .symmetry import SectorDecomposition, _commutator
@@ -192,19 +193,10 @@ def _factor_pairs(gen_mats, basis: HSBasis, frontier):
             yield bmat, gmat
 
 
-def effective_hamiltonian(spec: ModelSpec) -> Operator:
-    """K = H - (i/2) sum_m L_m† L_m."""
-    ham, jumps = spec.operators()
-    total = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for jump in jumps:
-        total += jump.mat.conj().T @ jump.mat
-    return Operator(ham.mat - 0.5j * total)
-
-
 def certifier_generators(spec: ModelSpec):
     """The generator set the certificate closes over: {K, L_1, ..., L_M}."""
-    _, jumps = spec.operators()
-    return [effective_hamiltonian(spec)] + list(jumps)
+    ham, jumps = spec.operators()
+    return [Operator(effective_hamiltonian(ham.mat, [j.mat for j in jumps]))] + list(jumps)
 
 
 @dataclass

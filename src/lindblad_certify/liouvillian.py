@@ -6,8 +6,7 @@ The generator of the dynamics is
 
 and the vectorized form uses the column-stacking convention throughout:
 vec stacks columns (Fortran order), so vec(A rho B) = (B^T kron A) vec(rho).
-Mixing this up is the classic silent transpose bug, hence the explicit
-helpers below.
+Mixing this up is the classic silent transpose bug.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modelspec import ModelSpec
-from .opalg import RESOLUTION, Operator, at_resolution
-
-DEFAULT_MAX_DIM = 2**8
+from .opalg import RESOLUTION, at_resolution
 
 # kernel_and_values takes the vectors of blocks up to this size in the same
 # LAPACK call as their values. Larger blocks take values only, and the few
@@ -37,25 +33,20 @@ class NumericalFailure(RuntimeError):
     """A linear-algebra step produced an unusable result."""
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape((d, d), order="F")
-
-
 def effective_hamiltonian(ham: np.ndarray, jumps) -> np.ndarray:
-    """K = H - (i/2) sum_m L_m† L_m."""
-    k = ham.astype(complex)
+    """K = H - (i/2) sum_m L_m† L_m, with the sum of the L_m† L_m taken first.
+
+    This one K, rounded the same way, enters the closure's generators, the
+    stationarity residuals and the invariant-block check.
+    """
+    total = np.zeros(ham.shape, dtype=complex)
     for jump in jumps:
-        k -= 0.5j * (jump.conj().T @ jump)
-    return k
+        total += jump.conj().T @ jump
+    return ham - 0.5j * total
 
 
 def apply_matrices(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
-    """Generator action from raw matrices; the workhorse behind apply().
+    """The generator's action on ``rho``, from the matrices of H and the L_m.
 
     Written as -i(K rho - rho K†) + sum_m L_m rho L_m† with the effective
     Hamiltonian K of effective_hamiltonian, so each jump costs two
@@ -69,14 +60,6 @@ def apply_matrices(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
     # space they then cancel the anticommutator exactly
     out -= 1j * (k @ rho - rho @ k.conj().T)
     return out
-
-
-def apply(spec: ModelSpec, rho: Operator) -> Operator:
-    """Apply the generator to a density-like operator."""
-    if rho.dim != spec.dim:
-        raise ValueError(f"rho has dim {rho.dim}, model has dim {spec.dim}")
-    ham, jumps = spec.operators()
-    return Operator(apply_matrices(ham.mat, [j.mat for j in jumps], rho.mat))
 
 
 @dataclass
@@ -144,33 +127,19 @@ def assemble_matrices(ham: np.ndarray, jumps) -> LiouvillianMatrix:
     return LiouvillianMatrix(d=d, matrix=mat)
 
 
-def check_budget(d: int, max_dim: int = DEFAULT_MAX_DIM):
-    """Refuse a model dimension whose d² x d² generator exceeds the budget."""
-    if d > max_dim:
-        raise ValueError(
-            f"model dimension {d} exceeds the budget {max_dim}; "
-            f"the vectorized matrix would be {d * d} x {d * d}"
-        )
+def spectrum(form, tol: float | None = None) -> np.ndarray:
+    """All eigenvalues of ``form.matrix``, by descending real, then imaginary part.
 
-
-def assemble(spec: ModelSpec, max_dim: int = DEFAULT_MAX_DIM) -> LiouvillianMatrix:
-    """Vectorize the generator; guarded by a memory budget on d."""
-    check_budget(spec.dim, max_dim)
-    ham, jumps = spec.operators()
-    return assemble_matrices(ham.mat, [j.mat for j in jumps])
-
-
-def spectrum(lm: LiouvillianMatrix, tol: float | None = None) -> np.ndarray:
-    """All eigenvalues, sorted by descending real part then imaginary part.
-
-    The generator is non-normal, so these are reported for inspection only;
-    kernel dimensions always come from the SVD in kernel_and_values(). With
-    ``tol``, the eigenvalues are first resolved (opalg.at_resolution) on
+    ``form`` is the generator in any basis, a pauli.PauliForm or a
+    LiouvillianMatrix: a change of basis leaves the eigenvalues as they
+    are. The generator is non-normal, so these are reported for inspection
+    only; kernel dimensions always come from the SVD in kernel_and_values().
+    With ``tol``, the eigenvalues are first resolved (opalg.at_resolution) on
     the scale of the largest |eigenvalue|, so that roundoff neither shows
     in them nor decides their order.
     """
     try:
-        vals = np.linalg.eigvals(lm.matrix)
+        vals = np.linalg.eigvals(form.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     if tol is not None and vals.size:

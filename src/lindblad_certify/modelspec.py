@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opalg import MINUS, PLUS, Operator, PauliTerm, X, Y, Z, pauli_to_operator
+from .pauli import strings
 
 PARTICLE_KINDS = ("spin_half", "fermion")
 SYMMETRY_NAMES = ("parity_z", "u1_number")
@@ -64,6 +65,7 @@ class ModelSpec:
             raise ModelValidationError("at least one Lindblad operator is required")
         for i, term in enumerate(self.hamiltonian_terms):
             self._check_term(term, f"hamiltonian term {i}")
+        self._check_hermitian()
         for label, terms in self.lindblad_ops:
             if not isinstance(label, str) or not label:
                 raise ModelValidationError(f"Lindblad label must be a nonempty string, got {label!r}")
@@ -92,6 +94,24 @@ class ModelSpec:
                     f"{where}: site {site} out of range 1..{self.n_sites}"
                 )
 
+    def _check_hermitian(self):
+        """Refuse an H whose Pauli-string coefficients are not real.
+
+        The strings are Hermitian and orthogonal, so H is Hermitian exactly
+        when every summed coefficient is real. A term contributes at most
+        one part to a string, of size at most |c| for its coefficient c, so
+        summing the n terms in floating point errs by less than n eps S,
+        with S the sum of their |c|. Terms written together with their
+        adjoints leave imaginary parts of that size; larger ones are refused.
+        """
+        terms = self.hamiltonian_terms
+        worst = max((abs(c.imag) for c in strings(terms, self.n_sites).values()), default=0.0)
+        if worst > len(terms) * np.finfo(float).eps * sum(abs(t.coeff) for t in terms):
+            raise ModelValidationError(
+                "the Hamiltonian H is not Hermitian: a Pauli-string coefficient "
+                f"has imaginary part {worst:.3e}"
+            )
+
     @property
     def dim(self) -> int:
         return 2**self.n_sites
@@ -103,12 +123,6 @@ class ModelSpec:
             jumps = [pauli_to_operator(terms, self.n_sites) for _, terms in self.lindblad_ops]
             object.__setattr__(self, "_built", (ham, jumps))
         return self._built
-
-    def hamiltonian(self) -> Operator:
-        return self.operators()[0]
-
-    def lindblads(self):
-        return list(self.operators()[1])
 
     def to_dict(self) -> dict:
         out = {
@@ -241,10 +255,6 @@ def parse_model(text: str) -> ModelSpec:
         declared_symmetries=symmetries,
         metadata=metadata,
     )
-
-
-def serialize_model(spec: ModelSpec) -> str:
-    return json.dumps(spec.to_dict(), indent=2)
 
 
 def load_model(path) -> ModelSpec:

@@ -25,7 +25,6 @@ from .closure import (
     certifier_generators,
     certify_uniqueness,
     commutant,
-    effective_hamiltonian,
     restricted_closure,
 )
 from .liouvillian import (
@@ -48,7 +47,6 @@ from .symmetry import (
 TRIVIAL_COMMUTANT = "trivial_commutant"
 NONTRIVIAL_COMMUTANT = "nontrivial_commutant"
 
-STATIONARITY_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 MIXED_STATE_TOL = 1e-8
 
@@ -83,17 +81,6 @@ class SectorReport:
     stationarity_norm: float | None
     distance_to_mixed: float | None
     sigma_max: float  # largest singular value of the sector's generator
-
-
-@dataclass
-class KernelInvarianceReport:
-    """Whether the kernel of a stationary state is dynamically invariant."""
-
-    kernel_dim: int
-    residuals: dict
-    max_residual: float
-    passed: bool
-    tol: float
 
 
 @dataclass
@@ -344,7 +331,7 @@ def _consistency_stage(report: NessReport, spec: ModelSpec):
     What the certificates imply for the kernel solves is checked when the
     global kernel was solved; the sector states are checked in every case.
     """
-    all_herm = all(j.is_hermitian() for j in spec.lindblads())
+    all_herm = all(j.is_hermitian() for j in spec.operators()[1])
     report.all_lindblads_hermitian = all_herm
     sectors = report.per_sector or []
     if report.kernel_dim is not None:
@@ -503,60 +490,4 @@ def full_verdict(
         return _run_stages(spec, stages, tol, max_basis)
     return _run_stages(
         spec, stages | {"sectors"}, tol, max_basis, spec.declared_symmetries[0]
-    )
-
-
-def kernel_invariance_diagnostic(
-    spec: ModelSpec, rho: Operator, tol: float = 1e-9
-) -> KernelInvarianceReport:
-    """Check that the kernel of a stationary state is preserved dynamically.
-
-    For a positive semidefinite stationary rho, every vector annihilated by
-    rho must stay annihilated under the adjoint jump operators and under
-    H + (i/2) sum_m L_m† L_m; this is the structural fact that lets a full
-    operator algebra force strict positivity. The reported residuals are
-    ||(1 - WW†) G W|| with W spanning the numerical kernel of rho
-    (eigenvalues below tol). A full-rank state has an empty kernel and
-    passes trivially.
-
-    Raises ValueError when rho is not approximately stationary, Hermitian,
-    and positive semidefinite; the diagnostic is meaningless otherwise.
-    """
-    if rho.dim != spec.dim:
-        raise ValueError(f"rho has dim {rho.dim}, model has dim {spec.dim}")
-    herm_defect = float(np.linalg.norm(rho.mat - rho.mat.conj().T))
-    if herm_defect > STATIONARITY_TOL * (1.0 + rho.hs_norm()):
-        raise ValueError(f"rho is not Hermitian: defect {herm_defect:.3e}")
-    evals, evecs = np.linalg.eigh(0.5 * (rho.mat + rho.mat.conj().T))
-    if evals[0] < -POSITIVITY_TOL:
-        raise ValueError(f"rho is not positive semidefinite: {evals[0]:.3e}")
-    ham, jumps = spec.operators()
-    stat = float(
-        np.linalg.norm(apply_matrices(ham.mat, [j.mat for j in jumps], rho.mat))
-    )
-    if stat > STATIONARITY_TOL * (1.0 + rho.hs_norm()):
-        raise ValueError(f"rho is not stationary: residual {stat:.3e}")
-
-    w = evecs[:, evals < tol]
-    if w.shape[1] == 0:
-        return KernelInvarianceReport(0, {}, 0.0, True, tol)
-    proj_out = np.eye(spec.dim, dtype=complex) - w @ w.conj().T
-    checks = [("K_adjoint", effective_hamiltonian(spec).dag().mat)]
-    checks += [
-        (f"{label}_dag", op.mat.conj().T)
-        for (label, _), op in zip(spec.lindblad_ops, jumps)
-    ]
-    residuals = {}
-    passed = True
-    for name, mat in checks:
-        r = float(np.linalg.norm(proj_out @ mat @ w))
-        residuals[name] = r
-        if r > tol * (1.0 + float(np.linalg.norm(mat))):
-            passed = False
-    return KernelInvarianceReport(
-        kernel_dim=w.shape[1],
-        residuals=residuals,
-        max_residual=max(residuals.values()),
-        passed=passed,
-        tol=tol,
     )

@@ -1,4 +1,4 @@
-"""Dense operator kernels: spin chains, fermions, Hilbert-Schmidt geometry.
+"""Dense operator kernels: spin chains and Hilbert-Schmidt geometry.
 
 Conventions used throughout the package:
 
@@ -7,15 +7,13 @@ Conventions used throughout the package:
   the state of site j.
 * Per site, spin-up is index 0 and spin-down is index 1. The raising operator
   ``+`` is |up><down|, i.e. the matrix [[0, 1], [0, 0]].
-* Fermions enter through the Jordan-Wigner mapping with the all-up state as
-  the vacuum, so occupation at site j equals bit (j-1) of the basis index.
 * The inner product on operators is Tr(A† B), unnormalized. The identity on a
   d-dimensional space has norm sqrt(d), not 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +79,9 @@ class Operator:
     """A square complex matrix with Hilbert-Schmidt helpers.
 
     Instances are immutable values: the wrapped array is copied on
-    construction and marked read-only, and every arithmetic operation
-    returns a new Operator. That is what makes it safe to share operators
-    across threads and to reuse them as basis elements.
+    construction and marked read-only, and dag() returns a new Operator.
+    That is what makes it safe to share operators across threads and to
+    reuse them as basis elements.
     """
 
     __slots__ = ("mat",)
@@ -101,19 +99,8 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def zero(cls, dim: int) -> "Operator":
-        return cls(np.zeros((dim, dim), dtype=complex))
-
     def dag(self) -> "Operator":
         return Operator(self.mat.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
 
     def hs_norm(self) -> float:
         """Frobenius norm, i.e. sqrt(Tr(A† A))."""
@@ -126,57 +113,8 @@ class Operator:
         gram = self.mat.conj().T @ self.mat
         return float(np.linalg.norm(gram - np.eye(self.dim))) <= tol
 
-    def is_positive_semidefinite(self, tol: float = 1e-10) -> bool:
-        if not self.is_hermitian(max(tol, 1e-12)):
-            return False
-        return float(np.linalg.eigvalsh(self.mat)[0]) >= -tol
-
-    def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
-        return float(np.linalg.norm(self.mat - other.mat)) <= tol
-
-    def __matmul__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in operator product")
-        return Operator(self.mat @ other.mat)
-
-    def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in operator sum")
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in operator difference")
-        return Operator(self.mat - other.mat)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, Operator):
-            return NotImplemented
-        return Operator(self.mat * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Operator(self.mat / complex(scalar))
-
-    def __neg__(self):
-        return Operator(-self.mat)
-
     def __repr__(self):
         return f"Operator(dim={self.dim})"
-
-
-def hs_inner(a: Operator, b: Operator) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b), antilinear in ``a``."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch in inner product")
-    return complex(np.vdot(a.mat, b.mat))
 
 
 @dataclass(frozen=True)
@@ -232,38 +170,6 @@ def pauli_to_operator(terms, n_sites: int) -> Operator:
             acc = np.kron(acc, SINGLE_SITE[placed[site]] if site in placed else _I2)
         total += term.coeff * acc
     return Operator(total)
-
-
-def jordan_wigner(site: int, kind: str, n_sites: int) -> Operator:
-    """Fermionic mode operator on a spin chain.
-
-    kind is one of ``annihilate``, ``create``, ``number``. The string
-    convention attaches Z factors on all sites k < site, so the canonical
-    anticommutation relations hold exactly (entries are 0 and ±1, no
-    rounding). With the all-up vacuum, ``annihilate`` maps onto the raising
-    matrix at the target site and ``number`` is (I - Z)/2 there.
-    """
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} outside 1..{n_sites}")
-    if kind == "annihilate":
-        local, stringed = SINGLE_SITE[PLUS], True
-    elif kind == "create":
-        local, stringed = SINGLE_SITE[MINUS], True
-    elif kind == "number":
-        # the two strings in c† c cancel, so the number operator is local
-        local, stringed = np.diag([0.0, 1.0]).astype(complex), False
-    else:
-        raise ValueError(f"unknown mode operator kind {kind!r}")
-    acc = np.ones((1, 1), dtype=complex)
-    for s in range(n_sites, 0, -1):
-        if s < site and stringed:
-            factor = SINGLE_SITE[Z]
-        elif s == site:
-            factor = local
-        else:
-            factor = _I2
-        acc = np.kron(acc, factor)
-    return Operator(acc)
 
 
 class HSBasis:

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .liouvillian import check_budget
-from .modelspec import ModelSpec
 from .opalg import PLUS, X, Y, Z
+
+if TYPE_CHECKING:
+    from .modelspec import ModelSpec
+
+DEFAULT_MAX_DIM = 2**8
 
 # i^p for p = 0..3
 _I_POW = np.array([1, 1j, -1, -1j])
@@ -224,8 +228,8 @@ def generator_form(spec: ModelSpec) -> PauliForm:
     With Hamiltonian strings h_k P_k and jumps L_m = sum_c λ_c P_c:
 
     * -i[H, P_b] = -2i h_k P_k P_b for each P_k that anticommutes with
-      P_b, and 0 for one that commutes, as ``assemble_matrices`` writes
-      -i[H, ·]: a non-Hermitian H leaves an imaginary part;
+      P_b, and 0 for one that commutes, real up to the roundoff that
+      ModelSpec admits in the h_k;
     * each ordered pair (c, c') of a jump's strings contributes
       μ (P_c P_b P_c' - ½ P_c' P_c P_b - ½ P_b P_c' P_c) with
       μ = λ_c conj(λ_c'). All three products are ± P_c P_c' P_b, so the
@@ -239,11 +243,15 @@ def generator_form(spec: ModelSpec) -> PauliForm:
     which cancel only where the model's coefficients do, so the matrix's
     zero pattern is exact. A jump with S strings has S(S+1)/2 pairs, so
     the rows are summed in blocks of at most _BLOCK_ENTRIES entries, and
-    memory beyond the d⁴ sums does not grow with the number of pairs. The
-    budget on d is assemble's.
+    memory beyond the d⁴ sums does not grow with the number of pairs. A d
+    above DEFAULT_MAX_DIM is refused before any array is made.
     """
     n_sites, d = spec.n_sites, spec.dim
-    check_budget(d)
+    if d > DEFAULT_MAX_DIM:
+        raise ValueError(
+            f"model dimension {d} exceeds the budget {DEFAULT_MAX_DIM}; "
+            f"the vectorized matrix would be {d * d} x {d * d}"
+        )
     n = d * d
     ham = strings(spec.hamiltonian_terms, n_sites)
     # each jump's string pairs c <= c', with mu = λ_c conj(λ_c') halved

@@ -21,7 +21,7 @@ from lindblad_certify.closure import (
     certify_uniqueness,
     commutant,
 )
-from lindblad_certify.liouvillian import apply, assemble, kernel_and_values, spectrum
+from lindblad_certify.liouvillian import kernel_and_values, spectrum
 from lindblad_certify.modelspec import (
     MINUS,
     PLUS,
@@ -40,12 +40,14 @@ from lindblad_certify.modelspec import (
 )
 from lindblad_certify.ness import full_verdict, per_sector_ness, steady_states
 from lindblad_certify.opalg import Operator
+from lindblad_certify.pauli import generator_form
 from lindblad_certify.symmetry import (
     resolve_symmetry,
     sector_decompose,
     verify_invariant_blocks,
     verify_strong_symmetry,
 )
+from test_liouvillian import dense, image
 
 
 def binomial(n, k):
@@ -95,7 +97,7 @@ def test_ising_chain_without_transverse_field_is_refused(criterion):
         assert cert.verdict != CERTIFIED_UNIQUE
         assert cert.closure.generated_dim < 64
         # independent rank count, straight off the generator matrix
-        svals = np.linalg.svd(assemble(spec).matrix, compute_uv=False)
+        svals = np.linalg.svd(dense(spec).matrix, compute_uv=False)
         assert int(np.sum(svals <= 1e-9 * svals[0])) > 1
 
 
@@ -145,8 +147,8 @@ def test_dephased_hopping_chain_sectors(criterion):
                 assert sector.distance_to_mixed <= 1e-8
 
             flat = tight_binding_dephasing(n, 1.0, delta=0.0, gamma=0.8)
-            W_offset = kernel_and_values(assemble(spec))[0]
-            W_flat = kernel_and_values(assemble(flat))[0]
+            W_offset = kernel_and_values(dense(spec))[0]
+            W_flat = kernel_and_values(dense(flat))[0]
             assert W_offset.shape[1] == W_flat.shape[1]
             # largest principal angle between the two kernel subspaces, via its sine
             residual = W_offset - W_flat @ (W_flat.conj().T @ W_offset)
@@ -171,13 +173,13 @@ def test_alternating_bond_chain_and_disconnected_control(criterion):
 def test_commutant_cross_check(criterion):
     with criterion(7, "commutant cross-check: trivial where certified, two-dimensional with the parity element otherwise"):
         tfim = tfim_boundary_dephasing(3, 1.0, 0.5)
-        gens = [tfim.hamiltonian()] + list(tfim.lindblads())
-        gens += [L.dag() for L in tfim.lindblads()]
+        ham, jumps = tfim.operators()
+        gens = [ham] + jumps + [L.dag() for L in jumps]
         assert commutant(gens, tfim.dim).commutant_dim == 1
 
         xyz = xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0)
-        gens = [xyz.hamiltonian()] + list(xyz.lindblads())
-        gens += [L.dag() for L in xyz.lindblads()]
+        ham, jumps = xyz.operators()
+        gens = [ham] + jumps + [L.dag() for L in jumps]
         result = commutant(gens, xyz.dim)
         assert result.commutant_dim == 2
         S = resolve_symmetry("parity_z", xyz)
@@ -237,12 +239,11 @@ def test_structural_invariants_on_every_builtin(criterion):
         for spec in builtins:
             d = spec.dim
             raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = Operator((raw + raw.conj().T) / 2)
-            image = apply(spec, rho)
-            assert abs(np.trace(image.mat)) <= 1e-10
-            assert np.linalg.norm(image.mat - image.mat.conj().T) <= 1e-10
+            out = image(spec, (raw + raw.conj().T) / 2)
+            assert abs(np.trace(out)) <= 1e-10
+            assert np.linalg.norm(out - out.conj().T) <= 1e-10
 
-            assert spectrum(assemble(spec)).real.max() <= 1e-10
+            assert spectrum(generator_form(spec)).real.max() <= 1e-10
 
             if spec.declared_symmetries:
                 S = resolve_symmetry(spec.declared_symmetries[0], spec)
@@ -255,5 +256,5 @@ def test_structural_invariants_on_every_builtin(criterion):
             again = algebra_closure(closed.basis.vectors, d)
             assert again.generated_dim == closed.generated_dim
             assert again.rounds <= 1
-            scaled = algebra_closure([g * 2j for g in gens], d)
+            scaled = algebra_closure([Operator(2j * g.mat) for g in gens], d)
             assert scaled.generated_dim == closed.generated_dim

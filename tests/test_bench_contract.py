@@ -15,6 +15,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -76,6 +77,22 @@ def test_public_surface_resolves(bench):
         if site.startswith("lindblad_certify."):
             module, _, attr = site.rpartition(".")
             assert hasattr(importlib.import_module(module), attr), site
+
+
+def test_every_export_has_a_caller():
+    # an export that only tests call is API that no command reaches
+    root = PERFBENCH.parent
+    package = root / "src" / "lindblad_certify"
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    text = "\n".join(p.read_text() for p in files + [root / "README.md"] + list(PERFBENCH.glob("*.py")))
+    unused = []
+    for name in lindblad_certify.__all__:
+        word = re.escape(name)
+        uses = len(re.findall(rf"\b{word}\b", text))
+        definitions = len(re.findall(rf"^(?:def |class ){word}\b|^{word} = ", text, re.MULTILINE))
+        if uses <= definitions:
+            unused.append(name)
+    assert not unused
 
 
 def test_cli_import_leaves_scipy_sparse_out():

@@ -27,11 +27,10 @@ import scipy.linalg
 
 import lindblad_certify
 from lindblad_certify import ness
-from lindblad_certify.cli import build_parser, run
+from lindblad_certify.cli import COMMANDS, build_parser, run
 from lindblad_certify.modelspec import (
     ModelSpec,
     PauliTerm,
-    serialize_model,
     tight_binding_dephasing,
     two_level_gain_loss,
     xyz_bulk_dephasing,
@@ -40,13 +39,9 @@ from lindblad_certify.modelspec import (
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
-def non_hermitian_two_level():
-    """The two-level gain/loss model with H = i Z_1, which is not Hermitian.
-
-    -i[H, rho] then maps Hermitian operators to anti-Hermitian ones, which
-    the kernel solve refuses: a real numerical failure at any tol.
-    """
-    return ModelSpec(1, [PauliTerm(1j, [(1, "Z")])], two_level_gain_loss(1.0, 2.0).lindblad_ops)
+def failing_svd(*args, **kwargs):
+    """np.linalg.svd as it fails when LAPACK does not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 FIXTURES = {
@@ -173,13 +168,34 @@ class TestExitCodes:
             assert "Traceback" not in captured.err
             assert captured.out == ""
 
-    def test_numerical_failure_is_three(self, tmp_path, capsys):
-        path = tmp_path / "non_hermitian.json"
-        path.write_text(serialize_model(non_hermitian_two_level()))
-        assert run(["ness", "--model", str(path)]) == 3
+    def test_numerical_failure_is_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        assert run(["ness"] + TWO_LEVEL) == 3
         err = capsys.readouterr().err
-        assert "[kernel] the generator does not preserve Hermiticity" in err
+        assert "numerical failure: [kernel] SVD failed: SVD did not converge" in err
         assert "Traceback" not in err
+
+    def test_non_hermitian_hamiltonian_is_a_model_error(self, tmp_path, capsys):
+        # the two-level gain/loss model with H = i Z_1
+        model = two_level_gain_loss(1.0, 2.0).to_dict()
+        model["hamiltonian"] = [{"coeff": [0.0, 1.0], "factors": [{"site": 1, "op": "Z"}]}]
+        path = tmp_path / "non_hermitian.json"
+        path.write_text(json.dumps(model))
+        messages = set()
+        for command in COMMANDS:
+            assert run([command, "--model", str(path)]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            messages.add(captured.err)
+        assert messages == {
+            "error: the Hamiltonian H is not Hermitian: a Pauli-string coefficient "
+            "has imaginary part 1.000e+00\n"
+        }
+
+    def test_spectrum_keeps_the_budget(self, capsys):
+        argv = ["spectrum", "--builtin", "tfim_boundary_dephasing", "-p", "N=9", "-p", "h_x=1"]
+        assert run(argv + ["-p", "gamma=0.5"]) == 2
+        assert "exceeds the budget 256" in capsys.readouterr().err
 
     def test_inconclusive_is_four(self, capsys):
         argv = ["check", "--builtin", "tfim_boundary_dephasing",
@@ -227,7 +243,7 @@ class TestOneDecision:
             spec = ModelSpec(builtin.n_sites, ham, jumps,
                              declared_symmetries=builtin.declared_symmetries)
             path = tmp_path / f"eps{exponent}.json"
-            path.write_text(serialize_model(spec))
+            path.write_text(json.dumps(spec.to_dict()))
             for tol in ["1e-12", "1e-9", "1e-6"]:
                 argv = ["--model", str(path), "--tol", tol]
                 assert run(["full"] + argv) == 0, (exponent, tol)

@@ -18,11 +18,10 @@ from lindblad_certify.closure import (
     certifier_generators,
     certify_uniqueness,
     commutant,
-    effective_hamiltonian,
     restricted_closure,
     word_support,
 )
-from lindblad_certify.liouvillian import assemble, kernel_and_values
+from lindblad_certify.liouvillian import effective_hamiltonian, kernel_and_values
 from lindblad_certify.modelspec import (
     MINUS,
     PLUS,
@@ -41,6 +40,8 @@ from lindblad_certify.symmetry import (
     sector_decompose,
     u1_number_operator,
 )
+from test_liouvillian import dense
+from test_pauli import adjoint
 
 SX = Operator(SINGLE_SITE[X])
 SZ = Operator(SINGLE_SITE[Z])
@@ -90,17 +91,17 @@ class TestAlgebraClosure:
         assert res.saturated
         # the span must be {Z, I} exactly
         assert ratio_outside(res.basis, SZ) <= 1e-9
-        assert ratio_outside(res.basis, Operator.identity(2)) <= 1e-9
+        assert ratio_outside(res.basis, Operator(np.eye(2))) <= 1e-9
         assert ratio_outside(res.basis, SX) > 1e-9
 
     def test_identity_is_not_seeded(self, ratio_outside):
         # a nilpotent generator: span{sigma+, sigma+^2=0} has dimension 1
         res = algebra_closure([Operator(SINGLE_SITE[PLUS])], 2)
         assert res.generated_dim == 1
-        assert ratio_outside(res.basis, Operator.identity(2)) > 1e-9
+        assert ratio_outside(res.basis, Operator(np.eye(2))) > 1e-9
 
     def test_zero_generators_span_nothing(self):
-        res = algebra_closure([Operator.zero(2)], 2)
+        res = algebra_closure([Operator(np.zeros((2, 2)))], 2)
         assert res.generated_dim == 0
         assert res.saturated
 
@@ -134,10 +135,10 @@ class TestAlgebraClosure:
 
 class TestCertifier:
     def test_effective_hamiltonian_hand_value(self):
-        spec = two_level_gain_loss(0.8, 0.5, hx=0.3)
-        k = effective_hamiltonian(spec)
+        ham, jumps = two_level_gain_loss(0.8, 0.5, hx=0.3).operators()
+        k = effective_hamiltonian(ham.mat, [j.mat for j in jumps])
         expected = 0.3 * SINGLE_SITE[X] - 0.5j * np.diag([0.5, 0.8])
-        assert np.allclose(k.mat, expected, atol=1e-14)
+        assert np.allclose(k, expected, atol=1e-14)
 
     def test_two_level_gain_loss_is_certified(self):
         cert = certify_uniqueness(two_level_gain_loss(1.0, 1.0))
@@ -157,7 +158,7 @@ class TestCertifier:
 
         # independent oracle: for L(rho) = Z rho Z - rho the vectorized
         # generator is diag(0, -2, -2, 0), whose kernel is the diagonals
-        lm = assemble(spec)
+        lm = dense(spec)
         assert np.allclose(lm.matrix, np.diag([0.0, -2.0, -2.0, 0.0]))
         ker = kernel_and_values(lm)[0]
         assert ker.shape[1] == 2
@@ -180,7 +181,7 @@ class TestCommutant:
     def test_irreducible_pair_leaves_only_scalars(self, ratio_outside):
         res = commutant([SX, SZ], 2)
         assert res.commutant_dim == 1
-        assert ratio_outside(res.basis, Operator.identity(2)) <= 1e-8
+        assert ratio_outside(res.basis, Operator(np.eye(2))) <= 1e-8
 
     def test_single_z_commutant_is_the_diagonals(self):
         res = commutant([SZ], 2)
@@ -190,7 +191,7 @@ class TestCommutant:
             assert np.linalg.norm(off) < 1e-10
 
     def test_scalar_generators_commute_with_everything(self):
-        res = commutant([Operator.identity(3)], 3)
+        res = commutant([Operator(np.eye(3))], 3)
         assert res.commutant_dim == 9
 
     def test_xyz_commutant_is_spanned_by_identity_and_parity(self, ratio_outside):
@@ -199,7 +200,7 @@ class TestCommutant:
         gens = [ham] + jumps + [j.dag() for j in jumps]
         res = commutant(gens, 8)
         assert res.commutant_dim == 2
-        assert ratio_outside(res.basis, Operator.identity(8)) <= 1e-8
+        assert ratio_outside(res.basis, Operator(np.eye(8))) <= 1e-8
         assert ratio_outside(res.basis, parity_z_operator(3)) <= 1e-8
 
     def test_rejects_empty_and_mismatched_input(self):
@@ -255,7 +256,7 @@ class TestCommutantAgainstDenseSvd:
         self.assert_matches_reference(gens, 6, expected_dim)
 
     def test_identity_only_generators(self):
-        gens = [Operator.identity(3), Operator(2.5 * np.eye(3))]
+        gens = [Operator(np.eye(3)), Operator(2.5 * np.eye(3))]
         self.assert_matches_reference(gens, 3, 9)
 
     def test_single_generator(self):
@@ -349,7 +350,7 @@ class TestInvariants:
     def test_generator_rescaling_is_invisible(self, scale):
         gens = certifier_generators(xyz_bulk_dephasing(2, 1.0, 0.5, 0.3, 0.7, 1.0))
         base = algebra_closure(gens, 4)
-        scaled = algebra_closure([scale * g for g in gens], 4)
+        scaled = algebra_closure([Operator(scale * g.mat) for g in gens], 4)
         assert scaled.generated_dim == base.generated_dim
 
     def test_adjoint_closed_sets_full_iff_commutant_trivial(self):
@@ -468,7 +469,9 @@ def sparse_terms(draw, n_sites, max_terms):
 @st.composite
 def sparse_models(draw):
     n_sites = draw(st.integers(1, 2))
+    # H is written as terms plus their adjoints: ModelSpec takes a Hermitian H only
     ham = draw(sparse_terms(n_sites, 3)) if draw(st.booleans()) else []
+    ham += [adjoint(t) for t in ham]
     jumps = [(f"L{m}", draw(sparse_terms(n_sites, 2))) for m in range(draw(st.integers(1, 2)))]
     return ModelSpec(n_sites, ham, jumps)
 

@@ -15,7 +15,6 @@ from lindblad_certify.modelspec import (
     load_model,
     parse_bonds,
     parse_model,
-    serialize_model,
     tfim_boundary_dephasing,
     tight_binding_dephasing,
     tight_binding_lattice,
@@ -23,7 +22,7 @@ from lindblad_certify.modelspec import (
     xyz_bulk_dephasing,
     xyz_lattice,
 )
-from lindblad_certify.opalg import Operator, PauliTerm, SINGLE_SITE, jordan_wigner
+from lindblad_certify.opalg import Operator, PauliTerm, SINGLE_SITE
 
 I2 = np.eye(2, dtype=complex)
 
@@ -31,6 +30,29 @@ I2 = np.eye(2, dtype=complex)
 def embed(op, site, n):
     """Independent little-endian embedding used as an oracle."""
     return np.kron(np.kron(np.eye(2 ** (n - site)), op), np.eye(2 ** (site - 1)))
+
+
+def jordan_wigner(site, kind, n):
+    """Fermionic mode operator on n sites, the reference for the hopping builders.
+
+    kind is ``annihilate``, ``create`` or ``number``. Z factors sit on all
+    sites k < site, so the canonical anticommutation relations hold exactly
+    (entries are 0 and ±1, no rounding). With the all-up vacuum,
+    ``annihilate`` is the raising matrix at the site and ``number`` is
+    (I - Z)/2 there: the two strings in c† c cancel.
+    """
+    local = {"annihilate": SINGLE_SITE["+"], "create": SINGLE_SITE["-"],
+             "number": np.diag([0.0, 1.0])}[kind]
+    acc = np.ones((1, 1), dtype=complex)
+    for s in range(n, 0, -1):
+        if s == site:
+            factor = local
+        elif s < site and kind != "number":
+            factor = SINGLE_SITE["Z"]
+        else:
+            factor = I2
+        acc = np.kron(acc, factor)
+    return acc
 
 
 MINIMAL = json.dumps(
@@ -127,14 +149,14 @@ class TestParse:
             xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0),
             tight_binding_dephasing(3, 1.0, 0.3, 0.8),
         ):
-            again = parse_model(serialize_model(spec))
+            again = parse_model(json.dumps(spec.to_dict()))
             assert again.to_dict() == spec.to_dict()
 
     def test_roundtrip_custom_matrix(self):
         data = json.loads(MINIMAL)
         data["symmetries"] = [{"matrix": [[0, 1], [0, 0], [0, 0], [0, -1]]}]
         spec = parse_model(json.dumps(data))
-        again = parse_model(serialize_model(spec))
+        again = parse_model(json.dumps(spec.to_dict()))
         assert again.to_dict() == spec.to_dict()
 
     def test_load_model(self, tmp_path):
@@ -157,6 +179,18 @@ class TestModelSpecValidation:
         with pytest.raises(ModelValidationError, match="dim"):
             ModelSpec(1, [], [("L", [PauliTerm(1.0)])], declared_symmetries=[sym])
 
+    def test_non_hermitian_h_rejected(self):
+        jumps = two_level_gain_loss(1.0, 2.0).lindblad_ops
+        with pytest.raises(ModelValidationError, match="the Hamiltonian H is not Hermitian"):
+            ModelSpec(1, [PauliTerm(1j, [(1, "Z")])], jumps)
+        # a raising term without its adjoint: X/2 + iY/2
+        with pytest.raises(ModelValidationError, match="imaginary part 5.000e-01"):
+            ModelSpec(2, [PauliTerm(1.0, [(1, "+")])], jumps)
+        data = json.loads(MINIMAL)
+        data["hamiltonian"][0]["coeff"] = [1.0, 1e-9]
+        with pytest.raises(ModelValidationError, match="not Hermitian"):
+            parse_model(json.dumps(data))
+
     def test_operator_cache_is_stable(self):
         spec = two_level_gain_loss(1.0, 2.0)
         first = spec.operators()
@@ -175,7 +209,7 @@ class TestTwoLevel:
     def test_optional_field(self):
         spec = two_level_gain_loss(1.0, 1.0, hx=0.5, hz=-1.0)
         expected = 0.5 * SINGLE_SITE["X"] - SINGLE_SITE["Z"]
-        assert np.allclose(spec.hamiltonian().mat, expected)
+        assert np.allclose(spec.operators()[0].mat, expected)
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ModelValidationError, match="gamma_g"):
@@ -193,8 +227,8 @@ class TestTFIM:
             expected += embed(SINGLE_SITE["Z"], j, n) @ embed(SINGLE_SITE["Z"], j + 1, n)
         for j in range(1, n + 1):
             expected += hx * embed(SINGLE_SITE["X"], j, n)
-        assert np.allclose(spec.hamiltonian().mat, expected, atol=1e-14)
-        (jump,) = spec.lindblads()
+        assert np.allclose(spec.operators()[0].mat, expected, atol=1e-14)
+        (jump,) = spec.operators()[1]
         assert np.allclose(jump.mat, math.sqrt(gamma) * embed(SINGLE_SITE["Z"], 1, n))
 
     def test_term_count(self):
@@ -224,8 +258,8 @@ class TestXYZ:
                     SINGLE_SITE[letter], k, n
                 )
             expected += hz * embed(SINGLE_SITE["Z"], j, n)
-        assert np.allclose(spec.hamiltonian().mat, expected, atol=1e-14)
-        assert len(spec.lindblads()) == n
+        assert np.allclose(spec.operators()[0].mat, expected, atol=1e-14)
+        assert len(spec.operators()[1]) == n
 
     def test_declares_parity(self):
         assert xyz_bulk_dephasing(3, 1.0, 0.5).declared_symmetries == ["parity_z"]
@@ -240,7 +274,7 @@ class TestXYZ:
         hz = {1: 0.1, 2: 0.2, 3: 0.3}
         spec = xyz_bulk_dephasing(3, 1.0, 0.5, hz=hz)
         ring = xyz_lattice(3, "1-2;2-3;3-1", Jx=1.0, Jy=0.5, hz=hz)
-        assert np.array_equal(spec.hamiltonian().mat, ring.hamiltonian().mat)
+        assert np.array_equal(spec.operators()[0].mat, ring.operators()[0].mat)
         assert spec.metadata["params"]["hz"] == hz
         assert xyz_bulk_dephasing(3, 1.0, 0.5, hz=1).metadata["params"]["hz"] == 1.0
 
@@ -250,7 +284,7 @@ class TestXYZ:
             np.kron(SINGLE_SITE["X"], SINGLE_SITE["X"])
             + 0.5 * np.kron(SINGLE_SITE["Y"], SINGLE_SITE["Y"])
         )
-        assert np.allclose(spec.hamiltonian().mat, expected)
+        assert np.allclose(spec.operators()[0].mat, expected)
 
 
 class TestCompass:
@@ -266,8 +300,8 @@ class TestCompass:
             expected -= jy * embed(SINGLE_SITE["Y"], 2 * j, n) @ embed(
                 SINGLE_SITE["Y"], 2 * j + 1, n
             )
-        assert np.allclose(spec.hamiltonian().mat, expected, atol=1e-14)
-        assert len(spec.lindblads()) == n
+        assert np.allclose(spec.operators()[0].mat, expected, atol=1e-14)
+        assert len(spec.operators()[1]) == n
         assert spec.declared_symmetries == ["parity_z"]
 
     def test_odd_n_rejected(self):
@@ -288,6 +322,32 @@ class TestCompass:
                          "params": {"N": 2, "Jx": 1.0, "Jy": 0.0, "gamma": 1.0}}}
 
 
+class TestJordanWignerReference:
+    def test_number_operator_single_site(self):
+        assert np.array_equal(jordan_wigner(1, "number", 1), np.diag([0.0 + 0j, 1.0]))
+
+    def test_car_exact(self):
+        # exactly representable entries, so the comparisons are exact
+        n, d = 3, 8
+        ann = [jordan_wigner(j, "annihilate", n) for j in range(1, n + 1)]
+        cre = [jordan_wigner(j, "create", n) for j in range(1, n + 1)]
+        zero = np.zeros((d, d), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                assert np.array_equal(ann[j] @ ann[k] + ann[k] @ ann[j], zero)
+                expected = np.eye(d, dtype=complex) if j == k else zero
+                assert np.array_equal(ann[j] @ cre[k] + cre[k] @ ann[j], expected)
+
+    def test_create_is_adjoint_of_annihilate(self):
+        a, c = jordan_wigner(2, "annihilate", 3), jordan_wigner(2, "create", 3)
+        assert np.array_equal(a.conj().T, c)
+        assert np.array_equal(c @ a, jordan_wigner(2, "number", 3))
+
+    def test_number_counts_basis_index_bits(self):
+        total = sum(jordan_wigner(j, "number", 3).diagonal().real for j in range(1, 4))
+        assert np.array_equal(total, [bin(i).count("1") for i in range(8)])
+
+
 class TestTightBinding:
     def test_hamiltonian_matches_mode_operators(self):
         n, t, delta = 4, 1.0, 0.3
@@ -295,18 +355,18 @@ class TestTightBinding:
         expected = delta * np.eye(2**n, dtype=complex)
         for j in range(1, n + 1):
             k = j % n + 1
-            cd_j = jordan_wigner(j, "create", n).mat
-            cd_k = jordan_wigner(k, "create", n).mat
-            a_j = jordan_wigner(j, "annihilate", n).mat
-            a_k = jordan_wigner(k, "annihilate", n).mat
+            cd_j = jordan_wigner(j, "create", n)
+            cd_k = jordan_wigner(k, "create", n)
+            a_j = jordan_wigner(j, "annihilate", n)
+            a_k = jordan_wigner(k, "annihilate", n)
             expected += t * (cd_j @ a_k + cd_k @ a_j)
-        assert np.allclose(spec.hamiltonian().mat, expected, atol=1e-14)
+        assert np.allclose(spec.operators()[0].mat, expected, atol=1e-14)
 
     def test_jumps_are_number_operators(self):
         n, gamma = 3, 0.8
         spec = tight_binding_dephasing(n, 1.0, 0.3, gamma)
-        for j, jump in enumerate(spec.lindblads(), start=1):
-            expected = math.sqrt(gamma) * jordan_wigner(j, "number", n).mat
+        for j, jump in enumerate(spec.operators()[1], start=1):
+            expected = math.sqrt(gamma) * jordan_wigner(j, "number", n)
             assert np.allclose(jump.mat, expected, atol=1e-14)
 
     def test_declares_number_symmetry(self):
@@ -361,8 +421,8 @@ class TestLattice:
         ring = "1-2;2-3;3-4;4-1"
         lat = xyz_lattice(n, ring, Jx=1.0, Jy=0.5, Jz=0.3, hz=0.7, gamma=1.0)
         bulk = xyz_bulk_dephasing(n, 1.0, 0.5, 0.3, 0.7, 1.0)
-        assert np.array_equal(lat.hamiltonian().mat, bulk.hamiltonian().mat)
-        for a, b in zip(lat.lindblads(), bulk.lindblads()):
+        assert np.array_equal(lat.operators()[0].mat, bulk.operators()[0].mat)
+        for a, b in zip(lat.operators()[1], bulk.operators()[1]):
             assert np.array_equal(a.mat, b.mat)
 
     def test_disconnected_warns(self):
@@ -393,7 +453,7 @@ class TestLattice:
             Jy={(1, 2): 0.5, (2, 3): 0.2},
             gamma={1: 1.0, 2: 2.0, 3: 3.0},
         )
-        jumps = lat.lindblads()
+        jumps = lat.operators()[1]
         # L_2 = sqrt(2) Z_2 embedded in 3 sites: norm sqrt(2) * sqrt(8)
         assert jumps[1].hs_norm() == pytest.approx(math.sqrt(2.0) * math.sqrt(8.0))
 
@@ -402,14 +462,14 @@ class TestLattice:
         expected = 0.3 * np.eye(8, dtype=complex)
         for j, k in ((1, 2), (2, 3)):
             expected += (
-                jordan_wigner(j, "create", 3).mat @ jordan_wigner(k, "annihilate", 3).mat
-                + jordan_wigner(k, "create", 3).mat @ jordan_wigner(j, "annihilate", 3).mat
+                jordan_wigner(j, "create", 3) @ jordan_wigner(k, "annihilate", 3)
+                + jordan_wigner(k, "create", 3) @ jordan_wigner(j, "annihilate", 3)
             )
-        assert np.allclose(spec.hamiltonian().mat, expected, atol=1e-14)
+        assert np.allclose(spec.operators()[0].mat, expected, atol=1e-14)
 
     def test_complex_hopping_still_hermitian(self):
         spec = tight_binding_lattice(3, "1-2;2-3;1-3", t={(1, 2): 1j, (2, 3): 1.0, (1, 3): 0.5}, delta=0.1)
-        assert spec.hamiltonian().is_hermitian(1e-12)
+        assert spec.operators()[0].is_hermitian(1e-12)
 
 
 ALL_BUILTIN_CALLS = [

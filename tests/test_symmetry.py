@@ -114,7 +114,7 @@ class TestVerifyStrongSymmetry:
         check = verify_strong_symmetry(parity_z_operator(3), spec, 1e-9)
         assert not check.ok
         # oracle: the commutator of parity with h_x sum_j X_j is 2 h_x sum_j X_j S
-        ham = spec.hamiltonian().mat
+        ham = spec.operators()[0].mat
         parity = parity_z_operator(3).mat
         direct = np.linalg.norm(parity @ ham - ham @ parity)
         assert check.commutator_norms["H"] == pytest.approx(direct)
@@ -128,10 +128,11 @@ class TestVerifyStrongSymmetry:
         spec = ModelSpec(3, base.hamiltonian_terms + [PauliTerm(1e-9, [(1, "X")])],
                          base.lindblad_ops)
         check = verify_strong_symmetry(parity_z_operator(3), spec, 1e-9)
-        assert 1e-9 < check.commutator_norms["H"] < 1e-9 * (1 + spec.hamiltonian().hs_norm())
+        assert 1e-9 < check.commutator_norms["H"] < 1e-9 * (1 + spec.operators()[0].hs_norm())
         assert check.ok
         sectors = sector_decompose(parity_z_operator(3))
-        gens = [spec.hamiltonian()] + spec.lindblads()
+        ham, jumps = spec.operators()
+        gens = [ham] + jumps
         assert len(restricted_closure(gens, sectors, 1e-9)) == 2
         assert not verify_strong_symmetry(parity_z_operator(3), spec, 1e-11).ok
         with pytest.raises(ValueError, match="generator 0 does not commute"):
@@ -214,7 +215,7 @@ class TestRestrict:
         # independent even-parity basis: computational states with an even
         # number of down spins
         spec = xyz3()
-        ham = spec.hamiltonian()
+        ham = spec.operators()[0]
         even_idx = [i for i in range(8) if bin(i).count("1") % 2 == 0]
         v_direct = np.eye(8)[:, even_idx]
         block_direct = v_direct.T @ ham.mat @ v_direct
@@ -230,7 +231,7 @@ class TestRestrict:
 
     def test_block_reconstruction(self):
         spec = xyz3()
-        ham = spec.hamiltonian()
+        ham = spec.operators()[0]
         sectors = sector_decompose(parity_z_operator(3))
         rebuilt = sum(
             iso @ block @ iso.conj().T
@@ -243,10 +244,10 @@ class TestRestrict:
         # generator that does not commute with S, and names the norm
         spec = tfim_boundary_dephasing(3, 1.0, 0.5)
         sectors = sector_decompose(parity_z_operator(3))
-        ham = spec.hamiltonian().mat
+        ham = spec.operators()[0].mat
         norm = np.linalg.norm(sectors.unitary.mat @ ham - ham @ sectors.unitary.mat)
         with pytest.raises(ValueError, match="commute.*" + re.escape(f"{norm:.3e}")):
-            restricted_closure([spec.hamiltonian()], sectors)
+            restricted_closure([spec.operators()[0]], sectors)
 
     def test_morphism_on_commutant(self):
         rng = np.random.default_rng(9)
