@@ -140,6 +140,13 @@ class TestCertifier:
         expected = 0.3 * SINGLE_SITE[X] - 0.5j * np.diag([0.5, 0.8])
         assert np.allclose(k, expected, atol=1e-14)
 
+    def test_generators_are_k_then_the_jumps(self):
+        spec = xyz3()
+        ham, jumps = spec.operators()
+        gens = certifier_generators(spec)
+        assert np.array_equal(gens[0].mat, effective_hamiltonian(ham.mat, [j.mat for j in jumps]))
+        assert gens[1:] == list(jumps)
+
     def test_two_level_gain_loss_is_certified(self):
         cert = certify_uniqueness(two_level_gain_loss(1.0, 1.0))
         assert cert.verdict == CERTIFIED_UNIQUE

@@ -11,6 +11,7 @@ from lindblad_certify.liouvillian import (
     _blocks,
     apply_matrices,
     assemble_matrices,
+    effective_hamiltonian,
     kernel_and_values,
     spectrum,
 )
@@ -102,6 +103,28 @@ class TestApply:
         for sign in (+1, -1):
             rho = (np.eye(8) + sign * parity.mat) / 8
             assert np.linalg.norm(image(spec, rho)) <= 1e-12
+
+    def test_stack_of_matrices(self):
+        rng = np.random.default_rng(5)
+        spec = xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0)
+        stack = np.array([random_rho(rng, spec.dim).mat for _ in range(4)])
+        out = image(spec, stack)
+        assert out.shape == stack.shape
+        for rho, got in zip(stack, out):
+            assert np.allclose(got, image(spec, rho), atol=1e-14)
+
+
+class TestEffectiveHamiltonian:
+    def test_jump_products_are_summed_first(self):
+        rng = np.random.default_rng(6)
+        ham, a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
+        ham = ham + ham.conj().T
+        expected = ham - 0.5j * (a.conj().T @ a + b.conj().T @ b)
+        assert np.array_equal(effective_hamiltonian(ham, [a, b]), expected)
+
+    def test_no_jumps_is_h(self):
+        ham = pauli_to_operator([PauliTerm(0.7, [(1, "X"), (2, "Z")])], 2).mat
+        assert np.array_equal(effective_hamiltonian(ham, []), ham)
 
 
 class TestAssemble:
@@ -451,3 +474,32 @@ class TestValuesFirst:
             if vectors:
                 assert (values.min(axis=-1) < cutoff).all(), shape
 
+
+class TestApplyMatricesConsistency:
+    def test_matches_operator_path(self):
+        # the textbook form, -i[H, rho] + sum_m (L rho L† - {L†L, rho}/2)
+        rng = np.random.default_rng(4)
+        spec = xyz_bulk_dephasing(3, 1.0, 0.5, 0.3, 0.7, 1.0)
+        ham, jumps = spec.operators()
+        rho = random_rho(rng, spec.dim).mat
+        expected = -1j * (ham.mat @ rho - rho @ ham.mat)
+        for jump in jumps:
+            jdj = jump.mat.conj().T @ jump.mat
+            expected += jump.mat @ rho @ jump.mat.conj().T - 0.5 * (jdj @ rho + rho @ jdj)
+        raw = apply_matrices(ham.mat, [j.mat for j in jumps], rho)
+        assert np.allclose(raw, expected, atol=1e-14)
+
+    def test_assemble_matrices_matches_assemble(self):
+        # written in place, the entries are those of the Kronecker products
+        # added in the order of the formula, bit for bit
+        spec = tfim_boundary_dephasing(2, 1.0, 0.5)
+        ham, jumps = spec.operators()
+        eye = np.eye(spec.dim)
+        expected = -1j * (np.kron(eye, ham.mat) - np.kron(ham.mat.T, eye))
+        for jump in jumps:
+            jdj = jump.mat.conj().T @ jump.mat
+            expected += np.kron(jump.mat.conj(), jump.mat)
+            expected -= 0.5 * np.kron(eye, jdj)
+            expected -= 0.5 * np.kron(jdj.T, eye)
+        lm = assemble_matrices(ham.mat, [j.mat for j in jumps])
+        assert np.array_equal(lm.matrix, expected)

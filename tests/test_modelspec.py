@@ -191,6 +191,34 @@ class TestModelSpecValidation:
         with pytest.raises(ModelValidationError, match="not Hermitian"):
             parse_model(json.dumps(data))
 
+    def test_hermiticity_bound_is_the_summation_roundoff(self):
+        # n terms with sum of |c| = S may leave n eps S of imaginary roundoff
+        jumps = two_level_gain_loss(1.0, 2.0).lindblad_ops
+
+        def h(imag):
+            return [PauliTerm(1.0, [(1, "X")]), PauliTerm(1.0, [(1, "Y")]),
+                    PauliTerm(complex(1.0, imag), [(1, "Z")])]
+
+        bound = 3 * np.finfo(float).eps * 3.0
+        ModelSpec(1, h(0.5 * bound), jumps)
+        with pytest.raises(ModelValidationError, match="not Hermitian"):
+            ModelSpec(1, h(2 * bound), jumps)
+
+    def test_terms_with_their_adjoints_are_accepted(self):
+        jumps = two_level_gain_loss(1.0, 2.0).lindblad_ops
+        hop = PauliTerm(0.3 + 0.4j, [(1, "+"), (2, "-")])
+        back = PauliTerm(0.3 - 0.4j, [(1, "-"), (2, "+")])
+        ham = ModelSpec(2, [hop, back], jumps).operators()[0].mat
+        assert np.array_equal(ham, ham.conj().T)
+        with pytest.raises(ModelValidationError, match="not Hermitian"):
+            ModelSpec(2, [hop], jumps)
+
+    def test_imaginary_identity_term_rejected(self):
+        jumps = two_level_gain_loss(1.0, 2.0).lindblad_ops
+        ModelSpec(1, [PauliTerm(0.5)], jumps)
+        with pytest.raises(ModelValidationError, match="imaginary part 5.000e-01"):
+            ModelSpec(1, [PauliTerm(0.5j)], jumps)
+
     def test_operator_cache_is_stable(self):
         spec = two_level_gain_loss(1.0, 2.0)
         first = spec.operators()
@@ -341,6 +369,9 @@ class TestJordanWignerReference:
     def test_create_is_adjoint_of_annihilate(self):
         a, c = jordan_wigner(2, "annihilate", 3), jordan_wigner(2, "create", 3)
         assert np.array_equal(a.conj().T, c)
+
+    def test_number_is_cdag_c(self):
+        a, c = jordan_wigner(2, "annihilate", 3), jordan_wigner(2, "create", 3)
         assert np.array_equal(c @ a, jordan_wigner(2, "number", 3))
 
     def test_number_counts_basis_index_bits(self):

@@ -21,6 +21,10 @@ class TestOperator:
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Operator(np.zeros((0, 0)))
+
     def test_immutable(self):
         op = Operator(np.eye(2))
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from lindblad_certify.liouvillian import _blocks, assemble_matrices, kernel_and_values
+from lindblad_certify.liouvillian import _blocks, assemble_matrices, kernel_and_values, spectrum
 from lindblad_certify.modelspec import MINUS, PLUS, X, Y, Z, ModelSpec, build_builtin
 from lindblad_certify.opalg import PauliTerm, pauli_to_operator
 from lindblad_certify import pauli
@@ -165,6 +165,17 @@ class TestPauliForm:
         vecs, svals = kernel_and_values(generator_form(spec), 1e-9)
         assert np.array_equal(vecs, np.eye(16))
         assert np.array_equal(svals, np.zeros(16))
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    def test_random_spectra_match_the_matrix_units(self, n_sites):
+        # the string form is similar to the matrix-unit form; complex jumps
+        # with ladder factors leave no symmetry, so no eigenvalue is defective
+        spec = random_model(np.random.default_rng(20 + n_sites), n_sites)
+        got, ref = spectrum(generator_form(spec)), spectrum(dense(spec))
+        assert got.shape == ref.shape
+        scale = np.abs(ref).max()
+        assert np.abs(got[:, None] - ref[None, :]).min(axis=1).max() <= 1e-10 * scale
+        assert np.abs(ref[:, None] - got[None, :]).min(axis=1).max() <= 1e-10 * scale
 
     def test_budget_guard(self):
         # d = 512 is over DEFAULT_MAX_DIM; the guard fires before any array
